@@ -12,13 +12,14 @@
 # final $results_dir/*.{csv,txt} files are byte-identical either way.
 #
 # Pass --supervised to additionally route that campaign through the
-# supervisor: each figure computes in a forked worker subprocess, worker
-# crashes/hangs are retried and, past the retry budget, quarantined — so
-# one poisoned figure degrades the suite instead of killing it. Implies
-# --resume. The script fails (exit 3) if the run completes degraded.
+# loopback worker pool: each figure computes in a forked worker process,
+# worker crashes/hangs are retried and, past the retry budget,
+# quarantined — so one poisoned figure degrades the suite instead of
+# killing it. Implies --resume. The script fails (exit 3) if the run
+# completes degraded.
 #
 # Pass --chaos-tests=DIR to run the chaos harness (`ctest -L chaos`) from
-# build tree DIR before the figure sweep — the supervision layer's own
+# build tree DIR before the figure sweep — the worker pool's own
 # fault-injection suite.
 #
 # Pass --asan-build=DIR (anywhere in the extra flags) to additionally run

@@ -1,10 +1,10 @@
 // Umbrella header for the campaign engine: declarative scenario specs,
 // figure registry, content-addressed result store, the checkpointing
-// runner, the crash-tolerant supervisor, the distributed TCP worker
-// pool and the store-routed design-space optimizer front end. See
-// docs/CAMPAIGNS.md for the spec format, store layout, supervision
-// semantics and the remote worker protocol; docs/OPTIMIZER.md for the
-// optimizer.
+// in-process runner, the crash-tolerant out-of-process worker pool
+// (loopback or remote TCP workers) and the store-routed design-space
+// optimizer front end. See docs/CAMPAIGNS.md for the spec format, store
+// layout, retry/quarantine semantics and the worker protocol;
+// docs/OPTIMIZER.md for the optimizer.
 #pragma once
 
 #include "campaign/attempt_ledger.h"   // IWYU pragma: export
@@ -17,4 +17,3 @@
 #include "campaign/result_store.h"     // IWYU pragma: export
 #include "campaign/runner.h"           // IWYU pragma: export
 #include "campaign/scenario_spec.h"    // IWYU pragma: export
-#include "campaign/supervisor.h"       // IWYU pragma: export

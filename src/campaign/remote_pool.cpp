@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
@@ -89,6 +90,10 @@ void RemotePoolOptions::validate() const {
         "RemotePoolOptions: bad heartbeat_timeout_s '" +
         common::format_double(heartbeat_timeout_s, 4) +
         "' (accepted: > heartbeat_interval_s)");
+  if (!(point_deadline_s > 0.0))
+    throw std::invalid_argument("RemotePoolOptions: bad point_deadline_s '" +
+                                common::format_double(point_deadline_s, 4) +
+                                "' (accepted: > 0 seconds)");
   if (!(registration_timeout_s > 0.0))
     throw std::invalid_argument(
         "RemotePoolOptions: bad registration_timeout_s '" +
@@ -184,6 +189,7 @@ CampaignReport RemoteWorkerPool::run() {
     common::MacKey session_key;    // derived from the HELLO challenge
     std::vector<int> outstanding;  // assigned, undelivered, in compute order
     Clock::time_point last_heard;
+    Clock::time_point deadline;  // meaningful while outstanding is nonempty
     bool dead = false;
   };
   std::vector<Session> sessions;
@@ -205,13 +211,14 @@ CampaignReport RemoteWorkerPool::run() {
     // and block the crash-recovery restart from rebinding it.
     const int listener_fd = listener_.fd();
     children.push_back(common::Subprocess::spawn(
-        [config, listener_fd](int) {
+        [config, listener_fd]() {
           ::close(listener_fd);
           return run_remote_worker(config);
         }));
   };
 
   const auto heartbeat_budget = to_duration(options_.heartbeat_timeout_s);
+  const auto deadline_budget = to_duration(options_.point_deadline_s);
   const auto beat_every = to_duration(options_.heartbeat_interval_s);
   const auto registration_budget = to_duration(options_.registration_timeout_s);
 
@@ -236,6 +243,8 @@ CampaignReport RemoteWorkerPool::run() {
   // silence with a chance of late delivery); otherwise it is closed.
   const auto evict = [&](Session& session, const std::string& reason,
                          bool suspend) {
+    SOS_LOG_WARN() << "RemoteWorkerPool: evicting worker pid " << session.pid
+                   << ": " << reason;
     const auto now = Clock::now();
     std::vector<int> unfinished;
     for (const int index : session.outstanding)
@@ -270,8 +279,9 @@ CampaignReport RemoteWorkerPool::run() {
     }
   };
 
-  // SIGKILLs the local child behind a silence-evicted session (a SIGSTOP
-  // hang never recovers on its own); the reap/respawn pass replaces it.
+  // SIGKILLs the local child behind a silence- or deadline-evicted session
+  // (a SIGSTOP hang or a livelock never recovers on its own); the
+  // reap/respawn pass replaces it.
   const auto kill_local_child = [&](std::uint64_t pid) {
     for (auto& child : children)
       if (static_cast<std::uint64_t>(child.pid()) == pid) {
@@ -288,6 +298,7 @@ CampaignReport RemoteWorkerPool::run() {
   const auto on_result = [&](Session& session, const std::string& frame) {
     const auto result = parse_result(frame);
     if (!result || result->index < 0 || result->index >= total) return false;
+    session.deadline = Clock::now() + deadline_budget;
     const auto slot = static_cast<std::size_t>(result->index);
     const auto it = std::find(session.outstanding.begin(),
                               session.outstanding.end(), result->index);
@@ -433,6 +444,7 @@ CampaignReport RemoteWorkerPool::run() {
     }
     for (const Assignment& assignment : shard)
       session.outstanding.push_back(assignment.index);
+    session.deadline = Clock::now() + deadline_budget;
   };
 
   // A store that is already settled needs no fleet at all: spawning
@@ -509,9 +521,12 @@ CampaignReport RemoteWorkerPool::run() {
     }
 
     auto wake_at = next_beat;
-    for (const auto& session : sessions)
-      if (!session.dead && session.state != SessionState::kSuspended)
-        wake_at = std::min(wake_at, session.last_heard + heartbeat_budget);
+    for (const auto& session : sessions) {
+      if (session.dead || session.state == SessionState::kSuspended) continue;
+      wake_at = std::min(wake_at, session.last_heard + heartbeat_budget);
+      if (!session.outstanding.empty())
+        wake_at = std::min(wake_at, session.deadline);
+    }
     for (const int index : queue)
       wake_at = std::min(wake_at, ledger.eligible_at(index));
     const auto poll_now = Clock::now();
@@ -577,11 +592,24 @@ CampaignReport RemoteWorkerPool::run() {
       }
     }
 
-    // --- Heartbeat silence: suspend, charge, reassign; SIGKILL the local
+    // --- Point deadline: a session that holds work but has delivered no
+    // RESULT for point_deadline_s is evicted outright, heartbeats or not
+    // (its compute is hung or livelocked), and its local child SIGKILLed.
+    // Heartbeat silence: suspend, charge, reassign; SIGKILL the local
     // child behind it (an intentional SIGSTOP hang never comes back). ---
     const auto silence_now = Clock::now();
     for (auto& session : sessions) {
       if (session.dead || session.state == SessionState::kSuspended) continue;
+      if (!session.outstanding.empty() && silence_now >= session.deadline) {
+        const std::uint64_t pid = session.pid;
+        evict(session,
+              "deadline " +
+                  common::format_double(options_.point_deadline_s, 2) +
+                  "s exceeded",
+              /*suspend=*/false);
+        kill_local_child(pid);
+        continue;
+      }
       if (silence_now - session.last_heard < heartbeat_budget) continue;
       if (session.state == SessionState::kRegistering) {
         session.sock.close();  // never said HELLO: nothing to charge
@@ -633,8 +661,19 @@ CampaignReport RemoteWorkerPool::run() {
                                   : session.session_key);
     draining.push_back(std::move(session.sock));
   }
+  // Local children get the same grace: one respawned just before the
+  // campaign settled may not have connected yet, and is waited for (and
+  // greeted with a goodbye when it does connect) rather than left to the
+  // SIGKILL at the deadline.
+  const auto children_running = [&]() {
+    return std::any_of(children.begin(), children.end(),
+                       [](common::Subprocess& child) {
+                         return !child.poll_exit();
+                       });
+  };
   const auto grace_deadline = Clock::now() + std::chrono::seconds(2);
-  while (!draining.empty() && Clock::now() < grace_deadline) {
+  while ((!draining.empty() || children_running()) &&
+         Clock::now() < grace_deadline) {
     // A worker that noticed its old connection die may be reconnecting at
     // this very moment; its fresh socket deserves the goodbye too. No
     // handshake has happened on it, so the goodbye is sealed under the
@@ -648,7 +687,10 @@ CampaignReport RemoteWorkerPool::run() {
     waiters.push_back(::pollfd{listener_.fd(), POLLIN, 0});
     for (const auto& sock : draining)
       waiters.push_back(::pollfd{sock.fd(), POLLIN, 0});
-    (void)::poll(waiters.data(), waiters.size(), /*timeout_ms=*/50);
+    // Sockets wake the poll at EOF; a child's exit does not, so with only
+    // exits left to wait for the poll is a short sleep.
+    (void)::poll(waiters.data(), waiters.size(),
+                 /*timeout_ms=*/draining.empty() ? 1 : 50);
     char sink[4096];
     for (std::size_t i = 0; i < draining.size(); ++i) {
       if (!(waiters[i + 1].revents & (POLLIN | POLLHUP | POLLERR))) continue;
@@ -664,12 +706,7 @@ CampaignReport RemoteWorkerPool::run() {
                    draining.end());
   }
   draining.clear();
-  for (auto& child : children) {
-    while (!child.poll_exit() && Clock::now() < grace_deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    child.kill();  // no-op if already reaped
-    child.wait_exit();
-  }
+  children.clear();  // ~Subprocess SIGKILLs and reaps any straggler
 
   CampaignReport report = runner_.status();
   report.cached = cached;
@@ -773,13 +810,21 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
   };
 
   // Heartbeats ride a dedicated thread so a long point computation (or a
-  // partition sleep) cannot read as death — unless chaos wants it to.
-  std::atomic<bool> stop{false};
+  // partition sleep) cannot read as death — unless chaos wants it to. The
+  // thread waits on a condition variable rather than sleeping, so shutdown
+  // wakes it at once instead of after up to one heartbeat interval.
+  std::mutex stop_mutex;
+  std::condition_variable stop_wake;
+  bool stop = false;
   std::thread beater([&]() {
     const auto beat_every = to_duration(config.heartbeat_interval_s);
     const std::string beat = encode_heartbeat();
-    while (!stop.load()) {
-      std::this_thread::sleep_for(beat_every);
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(stop_mutex);
+        if (stop_wake.wait_for(lock, beat_every, [&]() { return stop; }))
+          return;
+      }
       if (steady_ns(Clock::now()) < link.blackhole_until_ns.load()) continue;
       std::lock_guard<std::mutex> lock(link.write_mutex);
       if (link.sock.valid())  // EOF comes later; session_key guarded by lock
@@ -789,7 +834,6 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
   });
 
   std::optional<CampaignRunner> runner;
-  std::string scratch;  // the runner's never-written store directory
 
   int exit_code = -1;  // < 0: keep serving
   bool need_reconnect = false;
@@ -902,8 +946,11 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
           exit_code = 1;
           return;
         }
+        // compute_point_bytes never touches the store, so the directory
+        // the runner creates goes right away: a worker SIGKILLed later
+        // (chaos, deadline, silence eviction) leaves nothing behind.
+        const std::string scratch = scratch_store_dir();
         try {
-          scratch = scratch_store_dir();
           runner.emplace(ScenarioSpec::parse(*text),
                          CampaignOptions{scratch, nullptr, 1, nullptr});
         } catch (const std::exception& error) {
@@ -911,6 +958,8 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
                        error.what());
           exit_code = 1;
         }
+        std::error_code ignored;
+        std::filesystem::remove_all(scratch, ignored);
         return;
       }
       case MessageType::kReject: {
@@ -1005,13 +1054,13 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
     if (exit_code < 0 && frames.corrupt()) need_reconnect = true;
   }
 
-  stop.store(true);
+  {
+    std::lock_guard<std::mutex> lock(stop_mutex);
+    stop = true;
+  }
+  stop_wake.notify_one();
   beater.join();
   drop_connection();
-  if (!scratch.empty()) {
-    std::error_code ignored;
-    std::filesystem::remove_all(scratch, ignored);
-  }
   return exit_code;
 }
 

@@ -1,44 +1,45 @@
-// RemoteWorkerPool — distributed campaign execution over TCP workers.
+// RemoteWorkerPool — the out-of-process campaign executor: loopback
+// forked workers and remote TCP workers alike.
 //
-// PR 5's Supervisor tolerates worker *process* faults but still assumes
-// every worker is a forked child sharing its pipe. This executor drops
-// that assumption: workers are independent `sos_campaign serve` processes
-// that connect to the coordinator over TCP (common::Socket/Listener),
-// register with a HELLO/WELCOME handshake, exchange heartbeats, pull
-// work-stealing shard assignments, and stream finished point frames back.
-// The coordinator durably checkpoints each frame into the same
-// content-addressed ResultStore every other executor uses.
+// Workers are `sos_campaign serve` processes that connect to the
+// coordinator over TCP (common::Socket/Listener), register with a
+// HELLO/WELCOME handshake, exchange heartbeats, pull work-stealing shard
+// assignments, and stream finished point frames back. The coordinator
+// durably checkpoints each frame into the same content-addressed
+// ResultStore the in-process CampaignRunner uses. `sos_campaign run
+// --supervised` is this executor with forked loopback workers only.
 //
 // Execution model:
 //
 //   * The listener binds in the constructor (ephemeral port by default),
 //     so port() is valid before run() — tests and external workers can
 //     learn where to connect first.
-//   * run() forks `local_workers` loopback serve workers (they ignore
-//     their Subprocess pipe and talk TCP like any remote peer), then
-//     drives a single-threaded poll loop over the listener and every
-//     session socket.
+//   * run() forks `local_workers` loopback serve workers (common::Subprocess
+//     children that talk TCP like any remote peer), then drives a
+//     single-threaded poll loop over the listener and every session socket.
 //   * Work-stealing: whichever registered worker has no outstanding
 //     assignment is handed the next `points_per_assign` eligible pending
 //     points. Workers compute IN ORDER via
 //     CampaignRunner::compute_point_bytes — the same unit of work as the
-//     in-process and forked executors — which is what makes the store
-//     byte-identical across all three.
-//   * Liveness is symmetric heartbeats. A session silent past
-//     `heartbeat_timeout_s` is evicted: its first unfinished point (the
-//     poison point, since workers compute in order) is charged to the
-//     shared AttemptLedger, the innocent remainder requeues free, and a
-//     point charged past max_retries quarantines — exactly the
-//     Supervisor's semantics, enforced by sharing the ledger class.
+//     in-process runner — which is what makes the store byte-identical
+//     across executors.
+//   * Liveness has two clocks. A session silent past `heartbeat_timeout_s`
+//     is suspended; a session holding an assignment with no RESULT for
+//     `point_deadline_s` is evicted outright (heartbeats do not re-arm the
+//     deadline, so a worker whose compute livelocks while its heartbeat
+//     thread keeps beating is still caught). Either way its first
+//     unfinished point (the poison point, since workers compute in order)
+//     is charged to the AttemptLedger, the innocent remainder requeues
+//     free, a point charged past max_retries quarantines, and a local
+//     child behind the session is SIGKILLed and respawned.
 //   * Partition tolerance: an evicted worker may reconnect and resume
 //     (fresh HELLO, fresh assignments). A result frame that arrives late
-//     — after eviction, even after the point was recomputed elsewhere —
-//     is accepted if the point is still pending and ignored if done;
-//     duplicate delivery is harmless because the store is
+//     — after a silence suspension, even after the point was recomputed
+//     elsewhere — is accepted if the point is still pending and ignored if
+//     done; duplicate delivery is harmless because the store is
 //     content-addressed and put() is idempotent.
 //   * Local children that exit (chaos SIGKILL, bad exit) are reaped and
-//     respawned while unfinished work remains; a child whose session is
-//     evicted for heartbeat silence (SIGSTOP hang) is SIGKILLed first.
+//     respawned while unfinished work remains.
 //
 //   * Transport is authenticated (remote_protocol v2): every frame both
 //     directions is sealed under a SipHash-2-4 MAC. The handshake runs
@@ -52,6 +53,7 @@
 //     surviving workers reconnect, and the settled store is byte-identical
 //     to an uninterrupted run. The journal is removed on settle.
 //
+// Every eviction is logged at WARN with the worker pid and the reason.
 // If no worker is registered for `registration_timeout_s` while work
 // remains, run() throws FleetUnreachableError; the CLI maps it (and a
 // serve worker that can never connect) to exit code 4.
@@ -97,6 +99,12 @@ struct RemotePoolOptions {
   double heartbeat_interval_s = 0.05;
   double heartbeat_timeout_s = 2.0;
 
+  /// Per-point wall-clock deadline: armed when a session is handed an
+  /// assignment and rearmed on every RESULT it delivers (never by a
+  /// heartbeat), so it bounds single-point compute time, not whole-shard
+  /// runtime. On expiry the session is evicted and its poison point charged.
+  double point_deadline_s = 300.0;
+
   /// How long run() tolerates an empty fleet (nobody registered) while
   /// work remains before throwing FleetUnreachableError.
   double registration_timeout_s = 10.0;
@@ -120,20 +128,22 @@ struct RemotePoolOptions {
   /// once the campaign settles.
   bool resume = false;
 
-  /// Retry/backoff/quarantine charging — the same AttemptLedger the
-  /// Supervisor uses, so the two executors cannot drift.
+  /// Retry/backoff/quarantine charging (see AttemptLedger).
   RetryPolicy retry;
 
   /// Test-only fault injection, forwarded to the forked loopback workers
   /// (external serve workers configure their own chaos via CLI flags).
   ChaosConfig chaos;
 
-  /// Same contract as SupervisorOptions::checkpoint_hook.
+  /// Same contract as CampaignOptions::checkpoint_hook: invoked after each
+  /// newly computed point is durable, with the running count. A throwing
+  /// hook aborts run() (local children are killed and reaped); every
+  /// checkpoint written so far survives.
   std::function<void(int completed)> checkpoint_hook;
 
   /// Throws std::invalid_argument ("(accepted:)" style) on negative
-  /// worker counts, non-positive shard size/timeouts, an invalid retry
-  /// policy, or an invalid chaos config.
+  /// worker counts, non-positive shard size/timeouts/deadline, an invalid
+  /// retry policy, or an invalid chaos config.
   void validate() const;
 };
 
@@ -151,10 +161,11 @@ class RemoteWorkerPool {
 
   /// Drives the campaign to a settled report (every point cached,
   /// computed, or quarantined) across however many workers register.
-  /// Worker faults — crashes, hangs, dropped connections, partitions,
-  /// torn frames, duplicate delivery — are charged/retried/quarantined,
-  /// never fatal. Throws FleetUnreachableError if the fleet never shows
-  /// up (or vanishes) for registration_timeout_s.
+  /// Worker faults — crashes, hangs, livelocks, dropped connections,
+  /// partitions, torn frames, duplicate delivery — are
+  /// charged/retried/quarantined, never fatal. Throws
+  /// FleetUnreachableError if the fleet never shows up (or vanishes) for
+  /// registration_timeout_s.
   CampaignReport run();
 
  private:
@@ -185,8 +196,8 @@ struct RemoteWorkerConfig {
   /// with kExitFleetUnreachable.
   int max_reconnects = 8;
 
-  /// This worker's fault schedule. Draws key on (seed, point, attempt)
-  /// exactly as under the Supervisor.
+  /// This worker's fault schedule. Draws key on (seed, point, attempt),
+  /// the same stream the coordinator's chaos family draws from.
   ChaosConfig chaos;
 
   /// Pre-shared key file (must match the coordinator's); empty selects the

@@ -1,7 +1,7 @@
 // The coordinator <-> remote worker wire protocol (v2, authenticated).
 //
-// Transport: TCP, carrying the same length-prefixed frames as the
-// Supervisor's pipes (common/proc.h codec, decoded by FrameBuffer). Since
+// Transport: TCP, carrying length-prefixed frames (common/proc.h codec,
+// decoded by FrameBuffer). Since
 // v2 every frame payload is *sealed*: an 8-byte little-endian SipHash-2-4
 // MAC followed by the inner message, where the MAC covers the inner
 // message's length (u32le) and bytes —

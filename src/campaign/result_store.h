@@ -10,7 +10,7 @@
 //                               in a validated container (header with the
 //                               payload length + checksum, end sentinel)
 //   <dir>/quarantine/<digest>   a typed PointFailure record for a point the
-//                               supervisor gave up on (see below)
+//                               worker pool gave up on (see below)
 //   <dir>/quarantine/<digest>.corrupt
 //                               the verbatim bytes of an object that failed
 //                               container validation (truncated, checksum
@@ -33,7 +33,7 @@
 // found. A fresh put() clears the corrupt marker — a recomputed result
 // heals the store.
 //
-// Quarantine records are how a supervised campaign degrades instead of
+// Quarantine records are how an out-of-process campaign degrades instead of
 // dying: a point that kept crashing its worker is recorded as a typed
 // PointFailure, never silently dropped. An object, once present, always
 // wins over a stale quarantine record.
@@ -51,7 +51,7 @@
 
 namespace sos::campaign {
 
-/// The typed record of a point the supervisor retried to exhaustion and
+/// The typed record of a point the worker pool retried to exhaustion and
 /// quarantined. Stored under <dir>/quarantine/<digest> so degraded
 /// campaigns keep an auditable trail instead of silently dropping points.
 struct PointFailure {

@@ -12,18 +12,19 @@
 //       overrides --n --sos --filters --pb --mc-trials --mc-walks --seed.
 //       --abort-after=N is a crash-test hook: the process SIGKILLs itself
 //       after N checkpoints, so resume behavior can be exercised end to end.
-//       --supervised executes the points in forked worker subprocesses
-//       under the campaign supervisor: worker crashes/hangs are retried
-//       with backoff and, past --max-retries, quarantined so the campaign
-//       completes degraded instead of dying. Chaos flags (--chaos-*)
-//       inject worker faults for testing the supervision itself.
 //       --distributed executes the points over TCP serve workers (forked
 //       loopback ones by default, plus any external `sos_campaign serve`
-//       processes that connect): heartbeat liveness, partition-tolerant
-//       charging, byte-identical store. The transport is authenticated
-//       (--key-file on both sides; default key for loopback), and the
-//       coordinator journals its charge state so a killed coordinator
-//       restarted with --resume (same --listen-port) recovers the run.
+//       processes that connect): heartbeat liveness, per-point deadlines,
+//       partition-tolerant charging, byte-identical store. Worker
+//       crashes/hangs are retried with backoff and, past --max-retries,
+//       quarantined so the campaign completes degraded instead of dying.
+//       --supervised is another spelling of --distributed (with its
+//       default loopback fleet). Chaos flags (--chaos-*) inject worker
+//       faults for testing the fault handling itself. The transport is
+//       authenticated (--key-file on both sides; default key for
+//       loopback), and the coordinator journals its charge state so a
+//       killed coordinator restarted with --resume (same --listen-port)
+//       recovers the run.
 //   sos_campaign serve --connect=HOST:PORT
 //       One remote worker: registers with a --distributed coordinator,
 //       computes assigned points, streams results, heartbeats.
@@ -38,8 +39,9 @@
 //       through the shared result store, so reruns are warm and a killed
 //       validation resumes. --search-only skips validation (winners stay
 //       pending, exit 2); --status classifies winners against the store
-//       without computing; --supervised validates in forked workers with
-//       retry/quarantine (chaos flags apply).
+//       without computing; --supervised validates on the loopback worker
+//       pool with retry/quarantine (deadline, retry and chaos flags
+//       apply).
 //   sos_campaign status <store-dir>
 //       Completed/pending/quarantined point counts from the manifest +
 //       object files + quarantine records.
@@ -64,6 +66,7 @@
 #include <exception>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -83,9 +86,13 @@ int usage(std::FILE* out) {
                "[--abort-after=N] [--n=..] [--sos=..]\n"
                "                    [--filters=..] [--pb=..] [--mc-trials=..] "
                "[--mc-walks=..] [--seed=..]\n"
-               "                    [--supervised] [--max-workers=N] "
-               "[--points-per-worker=N]\n"
-               "                    [--point-deadline=SECONDS] "
+               "                    [--distributed | --supervised] "
+               "[--local-workers=N] [--listen-port=PORT]\n"
+               "                    [--points-per-assign=N] "
+               "[--point-deadline=SECONDS]\n"
+               "                    [--heartbeat-interval=SECONDS] "
+               "[--heartbeat-timeout=SECONDS]\n"
+               "                    [--registration-timeout=SECONDS] "
                "[--max-retries=N]\n"
                "                    [--backoff-base=SECONDS] "
                "[--backoff-max=SECONDS]\n"
@@ -93,12 +100,6 @@ int usage(std::FILE* out) {
                "[--chaos-bad-exit=P]\n"
                "                    [--chaos-truncate=P] [--chaos-seed=N] "
                "[--chaos-max-fires=N]\n"
-               "                    [--distributed] [--local-workers=N] "
-               "[--listen-port=PORT]\n"
-               "                    [--points-per-assign=N] "
-               "[--heartbeat-interval=SECONDS]\n"
-               "                    [--heartbeat-timeout=SECONDS] "
-               "[--registration-timeout=SECONDS]\n"
                "                    [--chaos-net-drop=P] "
                "[--chaos-net-partition=P] [--chaos-net-torn=P]\n"
                "                    [--chaos-net-duplicate=P] "
@@ -116,7 +117,7 @@ int usage(std::FILE* out) {
                "[--store=DIR] [--results=DIR]\n"
                "                    [--search-only] [--status] "
                "[--validate-trials=N] [--seed=N]\n"
-               "                    [--supervised] [--max-workers=N] "
+               "                    [--supervised] "
                "[--point-deadline=SECONDS]\n"
                "                    [--max-retries=N] [--backoff-*] "
                "[--chaos-*]\n"
@@ -229,18 +230,8 @@ int finish_run(const campaign::CampaignRunner& runner,
   return 0;
 }
 
-/// The --max-retries/--backoff-* flags shared by --supervised and
-/// --distributed runs.
-void apply_retry_flags(const common::Args& args,
-                       campaign::RetryPolicy& retry) {
-  retry.max_retries =
-      static_cast<int>(args.get_int("max-retries", retry.max_retries));
-  retry.backoff_base_s = args.get_double("backoff-base", retry.backoff_base_s);
-  retry.backoff_max_s = args.get_double("backoff-max", retry.backoff_max_s);
-}
-
-/// The --chaos-* fault-injection flags shared by --supervised,
-/// --distributed and serve (the network family is inert over pipes).
+/// The --chaos-* fault-injection flags shared by the worker pool and
+/// serve.
 void apply_chaos_flags(const common::Args& args,
                        campaign::ChaosConfig& chaos) {
   chaos.seed = static_cast<std::uint64_t>(
@@ -261,27 +252,19 @@ void apply_chaos_flags(const common::Args& args,
       args.get_int("chaos-max-fires", chaos.max_fires_per_point));
 }
 
-int run_supervised(const campaign::ScenarioSpec& spec,
-                   const common::Args& args, const std::string& store_dir,
-                   const std::string& results_dir) {
-  campaign::SupervisorOptions options;
-  options.store_dir = store_dir;
-  options.max_workers =
-      static_cast<int>(args.get_int("max-workers", options.max_workers));
-  options.points_per_worker = static_cast<int>(
-      args.get_int("points-per-worker", options.points_per_worker));
+/// The --point-deadline/--max-retries/--backoff-*/--chaos-* flags shared
+/// by `run --distributed/--supervised` and `optimize --supervised`.
+void apply_fault_flags(const common::Args& args,
+                       campaign::RemotePoolOptions& options) {
   options.point_deadline_s =
       args.get_double("point-deadline", options.point_deadline_s);
-  apply_retry_flags(args, options.retry);
+  options.retry.max_retries = static_cast<int>(
+      args.get_int("max-retries", options.retry.max_retries));
+  options.retry.backoff_base_s =
+      args.get_double("backoff-base", options.retry.backoff_base_s);
+  options.retry.backoff_max_s =
+      args.get_double("backoff-max", options.retry.backoff_max_s);
   apply_chaos_flags(args, options.chaos);
-  if (const int rc = reject_unused(args); rc != 0) return rc;
-
-  campaign::Supervisor supervisor{spec, options};
-  std::printf("campaign %s: %zu points, store %s (supervised, %d workers)\n",
-              spec.name.c_str(), supervisor.runner().points().size(),
-              store_dir.c_str(), options.max_workers);
-  const auto report = supervisor.run();
-  return finish_run(supervisor.runner(), report, results_dir);
 }
 
 int run_distributed(const campaign::ScenarioSpec& spec,
@@ -303,8 +286,7 @@ int run_distributed(const campaign::ScenarioSpec& spec,
       args.get_int("listen-port", options.listen_port));
   options.key_file = args.get_string("key-file", "");
   options.resume = args.get_bool("resume", false);
-  apply_retry_flags(args, options.retry);
-  apply_chaos_flags(args, options.chaos);
+  apply_fault_flags(args, options);
   if (const int rc = reject_unused(args); rc != 0) return rc;
 
   campaign::RemoteWorkerPool pool{spec, options};
@@ -313,14 +295,8 @@ int run_distributed(const campaign::ScenarioSpec& spec,
       "listening on 127.0.0.1:%u)\n",
       spec.name.c_str(), pool.runner().points().size(), store_dir.c_str(),
       options.local_workers, static_cast<unsigned>(pool.port()));
-  try {
-    const auto report = pool.run();
-    return finish_run(pool.runner(), report, results_dir);
-  } catch (const campaign::FleetUnreachableError& error) {
-    std::fprintf(stderr, "sos_campaign: fleet unreachable: %s\n",
-                 error.what());
-    return campaign::kExitFleetUnreachable;
-  }
+  const auto report = pool.run();
+  return finish_run(pool.runner(), report, results_dir);
 }
 
 int cmd_serve(const common::Args& args) {
@@ -364,14 +340,10 @@ int cmd_run(const common::Args& args) {
   const std::string store_dir = args.get_string(
       "store", (std::filesystem::path("campaign-store") / spec.name).string());
   const std::string results_dir = args.get_string("results", "results");
-  if (args.get_bool("supervised", false) && args.get_bool("distributed", false)) {
-    std::fprintf(stderr,
-                 "--supervised and --distributed are mutually exclusive\n");
-    return 2;
-  }
-  if (args.get_bool("supervised", false))
-    return run_supervised(spec, args, store_dir, results_dir);
-  if (args.get_bool("distributed", false))
+  // Both flags are read (not short-circuited) so neither is reported
+  // unused when a script passes both.
+  const bool supervised = args.get_bool("supervised", false);
+  if (args.get_bool("distributed", false) || supervised)
     return run_distributed(spec, args, store_dir, results_dir);
 
   campaign::CampaignOptions options;
@@ -432,15 +404,9 @@ int cmd_optimize(const common::Args& args) {
       "store", (std::filesystem::path("campaign-store") / spec.name).string());
   const std::string results_dir = args.get_string("results", "results");
   options.search_only = args.get_bool("search-only", false);
-  options.supervised = args.get_bool("supervised", false);
-  options.supervisor.max_workers = static_cast<int>(
-      args.get_int("max-workers", options.supervisor.max_workers));
-  options.supervisor.points_per_worker = static_cast<int>(args.get_int(
-      "points-per-worker", options.supervisor.points_per_worker));
-  options.supervisor.point_deadline_s = args.get_double(
-      "point-deadline", options.supervisor.point_deadline_s);
-  apply_retry_flags(args, options.supervisor.retry);
-  apply_chaos_flags(args, options.supervisor.chaos);
+  campaign::RemotePoolOptions pool;
+  apply_fault_flags(args, pool);
+  if (args.get_bool("supervised", false)) options.distributed = std::move(pool);
   const bool status_only = args.get_bool("status", false);
   if (const int rc = reject_unused(args); rc != 0) return rc;
 
@@ -450,7 +416,7 @@ int cmd_optimize(const common::Args& args) {
       spec.name.c_str(), spec.space.size(),
       optimize::OptimizeSpec::searcher_label(spec.resolved_searcher()),
       options.store_dir.c_str(),
-      options.supervised ? ", supervised validation" : "");
+      options.distributed ? ", supervised validation" : "");
   const auto report = status_only ? runner.status() : runner.run();
 
   std::printf("  frontier: %zu winner(s) from %lld evaluated",
@@ -611,6 +577,10 @@ int main(int argc, char** argv) {
   } catch (const campaign::StoreCorruptError& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return kExitStoreCorrupt;
+  } catch (const campaign::FleetUnreachableError& error) {
+    std::fprintf(stderr, "sos_campaign: fleet unreachable: %s\n",
+                 error.what());
+    return campaign::kExitFleetUnreachable;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

@@ -1,11 +1,10 @@
-// TCP transport primitives for the distributed campaign executor.
+// TCP transport primitives for the out-of-process campaign executor.
 //
-// The Supervisor's worker protocol — length-prefixed frames over a byte
-// stream, decoded by FrameBuffer — does not care whether the stream is a
-// pipe or a socket. These wrappers supply the socket half: a Listener
-// bound to an address (loopback by default) accepting nonblocking
-// connections, and a Socket that either came from accept() or from an
-// outbound connect. Frame I/O itself stays in common/proc.h; write_frame
+// The executor's worker protocol — length-prefixed frames over a byte
+// stream, decoded by FrameBuffer (common/proc.h) — runs over TCP. These
+// wrappers supply the sockets: a Listener bound to an address (loopback by
+// default) accepting nonblocking connections, and a Socket that either
+// came from accept() or from an outbound connect. Frame I/O itself stays in common/proc.h; write_frame
 // works on nonblocking socket fds because write_fully polls for
 // writability on EAGAIN and surfaces EPIPE/ECONNRESET as a clean false.
 //

@@ -109,52 +109,39 @@ std::string Subprocess::Exit::describe() const {
 }
 
 Subprocess Subprocess::spawn(const ChildMain& child_main) {
-  int fds[2];
-  if (::pipe(fds) != 0)
-    throw std::runtime_error("Subprocess: pipe() failed");
-
   // Flush stdio so buffered output is not duplicated into the child.
   std::fflush(stdout);
   std::fflush(stderr);
 
   const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    throw std::runtime_error("Subprocess: fork() failed");
-  }
+  if (pid < 0) throw std::runtime_error("Subprocess: fork() failed");
 
   if (pid == 0) {
     // --- Child. Never returns: _exit skips parent-inherited atexit
     // handlers and static destructors (whose threads do not exist here).
-    ::close(fds[0]);
-    // A parent that died or gave up must not SIGPIPE-kill us mid-frame;
-    // write_frame surfaces the closed pipe as a clean false instead.
+    // A peer that died or gave up must not SIGPIPE-kill us mid-frame;
+    // write_frame surfaces the closed connection as a clean false instead.
     ::signal(SIGPIPE, SIG_IGN);
     ThreadPool::reset_shared_after_fork();
     int code = 70;  // EX_SOFTWARE, for an escaping exception
     try {
-      code = child_main(fds[1]);
+      code = child_main();
     } catch (const std::exception& error) {
       std::fprintf(stderr, "Subprocess child: %s\n", error.what());
     } catch (...) {
     }
-    ::close(fds[1]);
     ::_exit(code);
   }
 
   // --- Parent.
-  ::close(fds[1]);
   Subprocess child;
   child.pid_ = pid;
-  child.read_fd_ = fds[0];
   return child;
 }
 
 Subprocess::Subprocess(Subprocess&& other) noexcept
-    : pid_(other.pid_), read_fd_(other.read_fd_), exit_(other.exit_) {
+    : pid_(other.pid_), exit_(other.exit_) {
   other.pid_ = -1;
-  other.read_fd_ = -1;
   other.exit_.reset();
 }
 
@@ -162,17 +149,14 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
   if (this != &other) {
     this->~Subprocess();
     pid_ = other.pid_;
-    read_fd_ = other.read_fd_;
     exit_ = other.exit_;
     other.pid_ = -1;
-    other.read_fd_ = -1;
     other.exit_.reset();
   }
   return *this;
 }
 
 Subprocess::~Subprocess() {
-  close_read();
   if (pid_ > 0 && !exit_.has_value()) {
     kill();
     wait_exit();
@@ -217,13 +201,6 @@ Subprocess::Exit Subprocess::wait_exit() {
 
 void Subprocess::kill(int sig) noexcept {
   if (pid_ > 0 && !exit_.has_value()) ::kill(pid_, sig);
-}
-
-void Subprocess::close_read() noexcept {
-  if (read_fd_ >= 0) {
-    ::close(read_fd_);
-    read_fd_ = -1;
-  }
 }
 
 }  // namespace sos::common

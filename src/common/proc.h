@@ -1,15 +1,16 @@
-// Process isolation primitives for the supervised campaign executor.
+// Process and framing primitives for the campaign executors.
 //
 // A campaign worker must be able to die — SIGKILL, a fatal FP trap, an OOM
 // kill, a hang — without taking the campaign down. That means real process
-// boundaries, not threads: Subprocess forks a child that runs a caller
-// -provided function and streams results back to the parent over a pipe,
-// one length-prefixed frame per completed unit of work. The parent owns
-// the read end and can poll it with deadlines, reap exits, and SIGKILL a
-// stuck child; the pipe's EOF/partial-frame states let it distinguish a
-// clean finish from a worker that died mid-result.
+// boundaries, not threads: Subprocess forks a child that runs a
+// caller-provided function and exits with its return value. The parent
+// keeps the pid, can reap the exit (distinguishing a clean finish from a
+// nonzero code or a signal) and can SIGKILL a stuck child. Results travel
+// over the child's own TCP connection to the coordinator (common/net.h),
+// not over anything Subprocess sets up.
 //
-// Frame wire format (all little-endian):
+// Frame wire format (all little-endian), shared by every byte stream the
+// executors speak over:
 //   [u32 payload length][payload bytes]
 // A reader that sees EOF mid-frame knows the writer died between starting
 // and finishing a result — exactly the truncation case checkpointing must
@@ -30,8 +31,8 @@ namespace sos::common {
 /// length prefix from a torn write would otherwise ask for gigabytes).
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
 
-/// Writes one length-prefixed frame to `fd`. Safe on blocking pipes and
-/// nonblocking sockets alike: partial writes and EAGAIN are resumed (with
+/// Writes one length-prefixed frame to `fd`. Safe on blocking and
+/// nonblocking fds alike: partial writes and EAGAIN are resumed (with
 /// a poll for writability), so a frame is written whole or not at all from
 /// this side. Returns false if the write cannot complete (closed pipe or
 /// reset connection / EPIPE included) — callers in workers treat that as
@@ -43,11 +44,11 @@ bool write_frame(int fd, std::string_view payload) noexcept;
 void append_u32le(std::string& out, std::uint32_t value);
 std::uint32_t read_u32le(const char* bytes) noexcept;
 
-/// Incremental frame decoder for one pipe. Feed it whatever read(2)
+/// Incremental frame decoder for one byte stream. Feed it whatever read(2)
 /// returns; pop complete frames as they become available. The buffer also
-/// answers the two health questions the supervisor asks at EOF: is there a
-/// partial frame pending (the writer died mid-result), and has the stream
-/// produced an impossible length prefix (corruption)?
+/// answers the two health questions the coordinator asks at EOF: is there
+/// a partial frame pending (the writer died mid-result), and has the
+/// stream produced an impossible length prefix (corruption)?
 class FrameBuffer {
  public:
   void feed(const char* data, std::size_t size);
@@ -68,12 +69,11 @@ class FrameBuffer {
   bool corrupt_ = false;
 };
 
-/// One forked worker process. spawn() runs `child_main(write_fd)` in the
-/// child: the function's return value becomes the process exit status (via
-/// _exit, so no parent-inherited atexit handlers or static destructors
-/// run), and ThreadPool::reset_shared_after_fork() has already been called
-/// so the child can use the shared pool safely. The parent keeps the pipe's
-/// read end and the pid.
+/// One forked worker process. spawn() runs `child_main()` in the child:
+/// the function's return value becomes the process exit status (via _exit,
+/// so no parent-inherited atexit handlers or static destructors run), and
+/// ThreadPool::reset_shared_after_fork() has already been called so the
+/// child can use the shared pool safely. The parent keeps the pid.
 class Subprocess {
  public:
   /// How a child ended: a normal exit code or a terminating signal.
@@ -85,10 +85,10 @@ class Subprocess {
     std::string describe() const;  // "exit 0", "signal 9 (SIGKILL)", ...
   };
 
-  using ChildMain = std::function<int(int write_fd)>;
+  using ChildMain = std::function<int()>;
 
   /// Forks and runs `child_main` in the child. Throws std::runtime_error if
-  /// pipe(2) or fork(2) fails. An exception escaping child_main exits the
+  /// fork(2) fails. An exception escaping child_main exits the
   /// child with status 70 (EX_SOFTWARE).
   static Subprocess spawn(const ChildMain& child_main);
 
@@ -101,7 +101,6 @@ class Subprocess {
   ~Subprocess();
 
   pid_t pid() const noexcept { return pid_; }
-  int read_fd() const noexcept { return read_fd_; }
 
   /// Non-blocking reap. Returns the exit once the child has terminated;
   /// the result is cached, so it can be called again after reaping.
@@ -114,14 +113,10 @@ class Subprocess {
   /// SIGKILL terminates even a SIGSTOP-ed child.
   void kill(int sig = 9) noexcept;
 
-  /// Closes the parent's read end (idempotent).
-  void close_read() noexcept;
-
  private:
   Subprocess() = default;
 
   pid_t pid_ = -1;
-  int read_fd_ = -1;
   std::optional<Exit> exit_;
 };
 

@@ -84,8 +84,7 @@ grep -q "pending:" "$work/partial_status.txt" || {
 }
 
 # A supervised run whose workers always die quarantines every point:
-# run exits 3 (degraded), status exits 3, and the records carry the
-# chaos exit code.
+# run exits 3 (degraded), status exits 3, and status lists the records.
 "$cli" run "$spec" --store="$work/degraded" --results="$work/results" \
   --supervised --max-retries=1 --backoff-base=0.01 --backoff-max=0.05 \
   --chaos-bad-exit=1.0 --chaos-max-fires=0 > "$work/degraded_run.txt" 2>&1
@@ -129,6 +128,33 @@ if ! diff <(cd "$work/store/objects" && ls -1 && cat ./*) \
   failures=$((failures + 1))
 else
   echo "ok: distributed store is byte-identical to the in-process store"
+fi
+
+# A worker that hangs on every attempt (SIGSTOP, so it never delivers)
+# is evicted at the per-point deadline, long before the heartbeat-silence
+# threshold: retries exhaust, the run exits 3, and each quarantine record
+# names the deadline.
+"$cli" run "$spec" --store="$work/deadline" --results="$work/results" \
+  --distributed --chaos-hang=1 --chaos-max-fires=0 --heartbeat-timeout=30 \
+  --point-deadline=0.5 --max-retries=1 --backoff-base=0.01 \
+  --backoff-max=0.05 > "$work/deadline_run.txt" 2>&1
+expect_rc 3 $? "distributed run with every attempt hung past its deadline"
+grep -q "deadline 0.50s exceeded" "$work/deadline_run.txt" || {
+  echo "FAIL: deadline quarantine does not name the deadline" >&2
+  failures=$((failures + 1))
+}
+
+# SIGKILLed loopback workers leave no scratch directory behind in TMPDIR.
+mkdir "$work/tmp"
+TMPDIR="$work/tmp" "$cli" run "$spec" --store="$work/killed" \
+  --results="$work/results" --supervised --backoff-base=0.01 \
+  --backoff-max=0.05 --chaos-sigkill=1.0 > /dev/null 2>&1
+expect_rc 0 $? "supervised run with SIGKILLed workers"
+if [[ -n "$(ls -A "$work/tmp")" ]]; then
+  echo "FAIL: killed workers left files in TMPDIR: $(ls -A "$work/tmp")" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: killed workers left TMPDIR empty"
 fi
 
 # A distributed coordinator with no workers at all exits 4 once the

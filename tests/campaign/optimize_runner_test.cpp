@@ -3,8 +3,8 @@
 // the optimizer PR — each winner's analytic worst-case P_S lands inside the
 // stored Wilson interval (with the model-bias margin measured in PR 3) —
 // plus warm-cache reruns through the shared ResultStore, search-only /
-// status classification, CSV assembly, and supervised quarantine of a
-// chaos-poisoned validation.
+// status classification, CSV assembly, and quarantine of a chaos-poisoned
+// validation on the loopback worker pool (`optimize --supervised`).
 //
 // The OptimizeSmoke suite doubles as `ctest -L optimize-smoke`.
 #include "campaign/optimize_runner.h"
@@ -205,12 +205,12 @@ TEST_F(OptimizeSmoke, SupervisedChaosQuarantinesPoisonedWinners) {
 
   OptimizeOptions options;
   options.store_dir = store_dir();
-  options.supervised = true;
-  options.supervisor.max_workers = 1;
-  options.supervisor.retry.max_retries = 1;
-  options.supervisor.retry.backoff_base_s = 0.01;
-  options.supervisor.chaos.bad_exit = 1.0;       // every attempt dies
-  options.supervisor.chaos.max_fires_per_point = 0;  // ...on every retry
+  options.distributed = RemotePoolOptions{};
+  options.distributed->local_workers = 1;
+  options.distributed->retry.max_retries = 1;
+  options.distributed->retry.backoff_base_s = 0.01;
+  options.distributed->chaos.bad_exit = 1.0;  // every attempt dies
+  options.distributed->chaos.max_fires_per_point = 0;  // ...on every retry
 
   OptimizeRunner runner{spec, options};
   const auto report = runner.run();
@@ -228,11 +228,18 @@ TEST_F(OptimizeSmoke, SupervisedChaosQuarantinesPoisonedWinners) {
   // The quarantine is a store record, not a verdict: a clean supervised
   // rerun computes the winner and the report completes.
   OptimizeOptions healthy = options;
-  healthy.supervisor.chaos = ChaosConfig{};
+  healthy.distributed->chaos = ChaosConfig{};
   OptimizeRunner retry{spec, healthy};
   const auto recovered = retry.run();
   EXPECT_TRUE(recovered.complete()) << "clean rerun must recover";
   for (const auto& winner : recovered.winners) EXPECT_TRUE(winner.done);
+
+  // Validation on the pool is byte-identical to in-process validation.
+  OptimizeOptions in_process;
+  in_process.store_dir = (root_ / "in_process").string();
+  OptimizeRunner reference{spec, in_process};
+  const auto expected = reference.run();
+  EXPECT_EQ(retry.frontier_csv(recovered), reference.frontier_csv(expected));
 }
 
 }  // namespace

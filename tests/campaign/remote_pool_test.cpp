@@ -1,10 +1,12 @@
 // RemoteWorkerPool end-to-end: a distributed campaign over TCP workers
-// must produce a store byte-identical to the in-process CampaignRunner
-// and the forked Supervisor on the same spec, at any worker count; serve
-// warm caches; resume checkpoints across executors; register external
-// workers (run_remote_worker driven from a thread, exactly what
-// `sos_campaign serve` runs); and fail with FleetUnreachableError — never
-// a hang — when no worker ever shows up.
+// must produce a store byte-identical to the in-process CampaignRunner on
+// the same spec, at any worker count and shard size; serve warm caches;
+// resume checkpoints across executors; register external workers
+// (run_remote_worker driven from a thread, exactly what `sos_campaign
+// serve` runs); evict a worker that heartbeats but never delivers once its
+// point deadline passes; settle promptly whatever the heartbeat interval;
+// and fail with FleetUnreachableError — never a hang — when no worker ever
+// shows up.
 //
 // Thread-worker caution: CampaignRunner's point computation fans out over
 // ThreadPool::shared(), which must be owned by one caller at a time — so
@@ -14,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -24,7 +28,9 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/supervisor.h"
+#include "campaign/remote_protocol.h"
+#include "common/mac.h"
+#include "common/proc.h"
 
 namespace sos::campaign {
 namespace {
@@ -32,7 +38,7 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Small sweep: 2 x 2 x 2 x 1 = 8 points with a light Monte Carlo overlay
-/// (the same grid the supervisor tests pin).
+/// (the same grid the supervised and chaos tests pin).
 ScenarioSpec tiny_sweep() {
   ScenarioSpec spec;
   spec.name = "tiny";
@@ -75,7 +81,7 @@ class RemotePoolTest : public ::testing::Test {
     return (root_ / name).string();
   }
 
-  /// Reference output from an unsupervised in-process run of `spec`.
+  /// Reference output from an in-process run of `spec`.
   std::string reference_csv(const ScenarioSpec& spec) {
     CampaignOptions options;
     options.store_dir = store("reference");
@@ -120,27 +126,25 @@ TEST_F(RemotePoolTest, DistributedRunIsBitIdenticalToInProcess) {
 }
 
 TEST_F(RemotePoolTest, EveryExecutorProducesTheSameStoreBytes) {
-  // The non-negotiable invariant: in-process, 8 forked supervisor
-  // workers, and a TCP worker fleet all converge to identical objects.
+  // The non-negotiable invariant: the in-process runner and a fleet of 1,
+  // 2 or 8 forked loopback workers, handed 1 or 8 points per assignment,
+  // all converge to identical objects.
   const auto spec = tiny_sweep();
   reference_csv(spec);  // in-process -> store("reference")
-
-  SupervisorOptions supervised;
-  supervised.store_dir = store("supervised");
-  supervised.max_workers = 8;
-  supervised.points_per_worker = 1;
-  supervised.retry.backoff_base_s = 0.01;
-  supervised.retry.backoff_max_s = 0.1;
-  Supervisor{spec, supervised}.run();
-
-  auto distributed = fast_options(store("dist"));
-  distributed.local_workers = 4;
-  distributed.points_per_assign = 1;
-  RemoteWorkerPool{spec, distributed}.run();
-
   const auto reference = store_objects(store("reference"));
-  EXPECT_EQ(store_objects(store("supervised")), reference);
-  EXPECT_EQ(store_objects(store("dist")), reference);
+
+  for (const int workers : {1, 2, 8}) {
+    for (const int per_assign : {1, 8}) {
+      const std::string name = "dist_" + std::to_string(workers) + "x" +
+                               std::to_string(per_assign);
+      auto options = fast_options(store(name));
+      options.local_workers = workers;
+      options.points_per_assign = per_assign;
+      const auto report = RemoteWorkerPool{spec, options}.run();
+      EXPECT_TRUE(report.complete()) << name;
+      EXPECT_EQ(store_objects(store(name)), reference) << name;
+    }
+  }
 }
 
 TEST_F(RemotePoolTest, WarmRerunServesEveryPointFromCache) {
@@ -220,6 +224,120 @@ TEST_F(RemotePoolTest, CheckpointHookSeesEveryComputedPointInOrder) {
   EXPECT_EQ(counts, expected);
 }
 
+/// A peer that registers under the default key, heartbeats, accepts one
+/// ASSIGN and never answers it: a worker whose compute livelocked while
+/// its heartbeat thread kept beating. Runs until the coordinator closes
+/// the connection (or a 30 s backstop).
+struct LivelockedPeer {
+  bool assigned = false;
+  int beats_after_assign = 0;  // heartbeats sent while holding the shard
+  double held_s = 0.0;         // ASSIGN received -> connection closed
+};
+
+LivelockedPeer run_livelocked_peer(std::uint16_t port, double beat_s) {
+  using Clock = std::chrono::steady_clock;
+  LivelockedPeer peer;
+  auto sock = common::Socket::connect_ipv4("127.0.0.1", port);
+  if (!sock) return peer;
+  const common::MacKey base_key = load_base_key("");
+  Hello hello;
+  hello.pid = static_cast<std::uint64_t>(::getpid());  // never a child's
+  hello.challenge = 0x11fe10c4ULL;
+  const common::MacKey session_key =
+      common::derive_session_key(base_key, hello.challenge);
+  if (!common::write_frame(sock->fd(),
+                           seal_frame(encode_hello(hello), base_key)))
+    return peer;
+
+  const auto beat_every = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(beat_s));
+  const auto give_up = Clock::now() + std::chrono::seconds(30);
+  auto next_beat = Clock::now();
+  Clock::time_point assigned_at;
+  common::FrameBuffer frames;
+  char buffer[4096];
+  while (Clock::now() < give_up) {
+    if (Clock::now() >= next_beat) {
+      (void)common::write_frame(sock->fd(),
+                                seal_frame(encode_heartbeat(), session_key));
+      if (peer.assigned) ++peer.beats_after_assign;
+      next_beat += beat_every;
+    }
+    ::pollfd waiter{sock->fd(), POLLIN, 0};
+    if (::poll(&waiter, 1, /*timeout_ms=*/5) <= 0) continue;
+    const long n = sock->read_some(buffer, sizeof(buffer));
+    if (n == -1) continue;
+    if (n <= 0) break;  // the coordinator closed us: evicted
+    frames.feed(buffer, static_cast<std::size_t>(n));
+    while (auto raw = frames.next_frame()) {
+      const auto frame = open_frame(*raw, session_key);
+      if (frame && message_type(*frame) == MessageType::kAssign &&
+          !peer.assigned) {
+        peer.assigned = true;
+        assigned_at = Clock::now();
+      }
+    }
+  }
+  if (peer.assigned)
+    peer.held_s =
+        std::chrono::duration<double>(Clock::now() - assigned_at).count();
+  return peer;
+}
+
+TEST_F(RemotePoolTest, LivelockedWorkerIsEvictedAtThePointDeadline) {
+  // Heartbeats keep the livelocked peer far from the silence threshold;
+  // only the per-point deadline (never re-armed by a heartbeat) can take
+  // its shard back. The loopback worker then finishes the point.
+  const auto spec = tiny_sweep();
+  reference_csv(spec);
+
+  auto options = fast_options(store("livelock"));
+  options.local_workers = 1;
+  options.points_per_assign = 1;
+  options.heartbeat_timeout_s = 30.0;
+  options.point_deadline_s = 0.5;
+  RemoteWorkerPool pool{spec, options};
+
+  // Connected (and its HELLO buffered) before run() forks the loopback
+  // worker, so the peer registers first and is handed a point.
+  LivelockedPeer peer;
+  std::thread livelocked(
+      [&]() { peer = run_livelocked_peer(pool.port(), 0.02); });
+
+  testing::internal::CaptureStderr();
+  const auto report = pool.run();
+  const std::string log = testing::internal::GetCapturedStderr();
+  livelocked.join();
+
+  ASSERT_TRUE(peer.assigned);
+  EXPECT_GE(peer.held_s, options.point_deadline_s);
+  EXPECT_LT(peer.held_s, options.heartbeat_timeout_s);
+  EXPECT_GT(peer.beats_after_assign, 10);  // it was never silent
+  EXPECT_NE(log.find("deadline 0.50s exceeded"), std::string::npos) << log;
+  EXPECT_TRUE(report.complete());
+  EXPECT_EQ(report.retried, 1);  // the held point, charged once
+  EXPECT_EQ(store_objects(store("livelock")),
+            store_objects(store("reference")));
+}
+
+TEST_F(RemotePoolTest, SettlesPromptlyWhateverTheHeartbeatInterval) {
+  // Teardown must not wait out a worker's heartbeat sleep: with beats a
+  // second apart, a small loopback campaign still settles well inside one
+  // interval.
+  auto options = fast_options(store("slow_beats"));
+  options.local_workers = 2;
+  options.heartbeat_interval_s = 1.0;
+  options.heartbeat_timeout_s = 3.0;
+  RemoteWorkerPool pool{tiny_sweep(), options};
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = pool.run();
+  const double settle_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_TRUE(report.complete());
+  EXPECT_LT(settle_s, 0.5);
+}
+
 TEST_F(RemotePoolTest, EmptyFleetThrowsFleetUnreachable) {
   auto options = fast_options(store("s"));
   options.local_workers = 0;
@@ -265,6 +383,10 @@ TEST_F(RemotePoolTest, OptionsValidateRejectsNonsense) {
   auto bad_timeout = fast_options(store("s"));
   bad_timeout.heartbeat_timeout_s = bad_timeout.heartbeat_interval_s / 2;
   EXPECT_THROW((RemoteWorkerPool{spec, bad_timeout}), std::invalid_argument);
+
+  auto bad_deadline = fast_options(store("s"));
+  bad_deadline.point_deadline_s = 0.0;
+  EXPECT_THROW((RemoteWorkerPool{spec, bad_deadline}), std::invalid_argument);
 
   auto bad_registration = fast_options(store("s"));
   bad_registration.registration_timeout_s = 0.0;

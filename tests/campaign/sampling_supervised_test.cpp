@@ -1,8 +1,9 @@
-// Supervised trials=auto parity (part of `ctest -L sampling-smoke`): the
-// supervised worker's unit of work is CampaignRunner::compute_point_bytes,
+// Supervised trials=auto parity (part of `ctest -L sampling-smoke`): a
+// worker-pool worker's unit of work is CampaignRunner::compute_point_bytes,
 // so a stopping-rule campaign must produce byte-identical output whether the
-// points run in-process or in supervised worker subprocesses. Lives in the
-// robustness binary because the supervisor forks workers.
+// points run in-process or on the loopback RemoteWorkerPool that
+// `run --supervised` uses. Lives in the robustness binary because the pool
+// forks workers.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,8 +11,8 @@
 #include <filesystem>
 #include <string>
 
+#include "campaign/remote_pool.h"
 #include "campaign/runner.h"
-#include "campaign/supervisor.h"
 
 namespace sos::campaign {
 namespace {
@@ -65,16 +66,16 @@ TEST_F(SamplingSupervised, SupervisedAutoCampaignIsBitIdenticalToInProcess) {
     CampaignRunner reference{spec, in_process};
     reference.run();
 
-    SupervisorOptions options;
+    RemotePoolOptions options;
     options.store_dir = store(estimator + "_sup");
     options.retry.backoff_base_s = 0.01;
     options.retry.backoff_max_s = 0.1;
-    options.max_workers = 2;
-    options.points_per_worker = 1;
-    Supervisor supervisor{spec, options};
-    const auto report = supervisor.run();
+    options.local_workers = 2;
+    options.points_per_assign = 1;
+    RemoteWorkerPool pool{spec, options};
+    const auto report = pool.run();
     EXPECT_TRUE(report.complete()) << estimator;
-    EXPECT_EQ(supervisor.runner().sweep_csv(), reference.sweep_csv())
+    EXPECT_EQ(pool.runner().sweep_csv(), reference.sweep_csv())
         << estimator;
   }
 }

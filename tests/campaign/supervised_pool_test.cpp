@@ -1,21 +1,22 @@
-// Supervisor parity and options: a supervised campaign must be
-// byte-identical to the in-process CampaignRunner on the same spec (the
-// workers run the exact same unit of work), serve the same warm cache,
-// resume from in-process checkpoints and vice versa, and validate its
-// options with the repo's "(accepted:)" error style.
-#include "campaign/supervisor.h"
-
+// `sos_campaign run --supervised` parity and options. The supervised
+// spelling is a RemoteWorkerPool of forked loopback workers at the pool's
+// default liveness settings (heartbeats, shard size, per-point deadline);
+// these tests pin that configuration: it must be byte-identical to the
+// in-process CampaignRunner on the same spec (the workers run the exact
+// same unit of work) at any worker count, serve the same warm cache,
+// resume from in-process checkpoints, match the legacy figure generator,
+// and validate its options with the repo's "(accepted:)" error style.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/registry.h"
+#include "campaign/remote_pool.h"
 #include "experiments/figure.h"
 #include "experiments/figures.h"
 
@@ -40,8 +41,9 @@ ScenarioSpec tiny_sweep() {
   return spec;
 }
 
-SupervisorOptions fast_options(const std::string& store_dir) {
-  SupervisorOptions options;
+/// What `run --supervised` builds: pool defaults, with a short backoff.
+RemotePoolOptions supervised_options(const std::string& store_dir) {
+  RemotePoolOptions options;
   options.store_dir = store_dir;
   options.retry.backoff_base_s = 0.01;
   options.retry.backoff_max_s = 0.1;
@@ -54,7 +56,7 @@ class SupervisorTest : public ::testing::Test {
     // Pid-unique (see chaos_test.cpp: discovered + aggregate ctest entries
     // may run the same body in parallel).
     root_ = fs::temp_directory_path() /
-            ("sos_supervisor_test_" + std::to_string(::getpid()) + "_" +
+            ("sos_supervised_pool_test_" + std::to_string(::getpid()) + "_" +
              std::string(::testing::UnitTest::GetInstance()
                              ->current_test_info()
                              ->name()));
@@ -66,7 +68,7 @@ class SupervisorTest : public ::testing::Test {
     return (root_ / name).string();
   }
 
-  /// Reference output from an unsupervised in-process run of `spec`.
+  /// Reference output from an in-process run of `spec`.
   std::string reference_csv(const ScenarioSpec& spec) {
     CampaignOptions options;
     options.store_dir = store("reference");
@@ -80,36 +82,35 @@ class SupervisorTest : public ::testing::Test {
 
 TEST_F(SupervisorTest, SupervisedRunIsBitIdenticalToInProcess) {
   const auto spec = tiny_sweep();
-  Supervisor supervisor{spec, fast_options(store("s"))};
-  const auto report = supervisor.run();
+  RemoteWorkerPool pool{spec, supervised_options(store("s"))};
+  const auto report = pool.run();
   EXPECT_EQ(report.total, 8);
   EXPECT_EQ(report.computed, 8);
   EXPECT_EQ(report.retried, 0);
   EXPECT_TRUE(report.complete());
   EXPECT_TRUE(report.settled());
   EXPECT_FALSE(report.degraded());
-  EXPECT_EQ(supervisor.runner().sweep_csv(), reference_csv(spec));
+  EXPECT_EQ(pool.runner().sweep_csv(), reference_csv(spec));
 }
 
 TEST_F(SupervisorTest, ShardingAcrossManyWorkersDoesNotChangeBytes) {
   const auto spec = tiny_sweep();
   const auto reference = reference_csv(spec);
   for (const int workers : {1, 4}) {
-    auto options = fast_options(store("w" + std::to_string(workers)));
-    options.max_workers = workers;
-    options.points_per_worker = 2;
-    Supervisor supervisor{spec, options};
-    const auto report = supervisor.run();
+    auto options = supervised_options(store("w" + std::to_string(workers)));
+    options.local_workers = workers;
+    options.points_per_assign = 2;
+    RemoteWorkerPool pool{spec, options};
+    const auto report = pool.run();
     EXPECT_TRUE(report.complete());
-    EXPECT_EQ(supervisor.runner().sweep_csv(), reference)
-        << "workers=" << workers;
+    EXPECT_EQ(pool.runner().sweep_csv(), reference) << "workers=" << workers;
   }
 }
 
 TEST_F(SupervisorTest, WarmRerunServesEveryPointFromCache) {
   const auto spec = tiny_sweep();
-  Supervisor{spec, fast_options(store("s"))}.run();
-  Supervisor warm{spec, fast_options(store("s"))};
+  RemoteWorkerPool{spec, supervised_options(store("s"))}.run();
+  RemoteWorkerPool warm{spec, supervised_options(store("s"))};
   const auto report = warm.run();
   EXPECT_EQ(report.cached, 8);
   EXPECT_EQ(report.computed, 0);
@@ -118,7 +119,7 @@ TEST_F(SupervisorTest, WarmRerunServesEveryPointFromCache) {
 
 TEST_F(SupervisorTest, SupervisedResumesFromInProcessCheckpoints) {
   // Stores are interchangeable across execution modes: an in-process run
-  // interrupted after 3 checkpoints resumes under supervision, and only
+  // interrupted after 3 checkpoints resumes on the loopback pool, and only
   // the unfinished points are recomputed.
   const auto spec = tiny_sweep();
   const auto reference = reference_csv(spec);
@@ -132,7 +133,7 @@ TEST_F(SupervisorTest, SupervisedResumesFromInProcessCheckpoints) {
   EXPECT_THROW((CampaignRunner{spec, crash_options}.run()),
                std::runtime_error);
 
-  Supervisor resumed{spec, fast_options(store("s"))};
+  RemoteWorkerPool resumed{spec, supervised_options(store("s"))};
   const auto report = resumed.run();
   EXPECT_EQ(report.cached, 3);
   EXPECT_EQ(report.computed, 5);
@@ -142,11 +143,11 @@ TEST_F(SupervisorTest, SupervisedResumesFromInProcessCheckpoints) {
 
 TEST_F(SupervisorTest, CheckpointHookSeesEveryComputedPointInOrder) {
   std::vector<int> counts;
-  auto options = fast_options(store("s"));
+  auto options = supervised_options(store("s"));
   options.checkpoint_hook = [&counts](int completed) {
     counts.push_back(completed);
   };
-  Supervisor{tiny_sweep(), options}.run();
+  RemoteWorkerPool{tiny_sweep(), options}.run();
   const std::vector<int> expected{1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_EQ(counts, expected);
 }
@@ -154,35 +155,46 @@ TEST_F(SupervisorTest, CheckpointHookSeesEveryComputedPointInOrder) {
 TEST_F(SupervisorTest, FigureCampaignSupervisedMatchesTheLegacyGenerator) {
   experiments::Params params;
   params.mc_trials = 0;
-  Supervisor supervisor{figure_spec("fig4a", params, 0),
-                        fast_options(store("fig"))};
-  const auto report = supervisor.run();
+  RemoteWorkerPool pool{figure_spec("fig4a", params, 0),
+                        supervised_options(store("fig"))};
+  const auto report = pool.run();
   EXPECT_EQ(report.computed, 1);
-  EXPECT_EQ(supervisor.runner().figure_csv("fig4a"),
+  EXPECT_EQ(pool.runner().figure_csv("fig4a"),
             experiments::fig4a(params).table.to_csv());
 }
 
 TEST_F(SupervisorTest, OptionsValidateRejectsNonsense) {
   const auto spec = tiny_sweep();
-  auto bad_workers = fast_options(store("s"));
-  bad_workers.max_workers = 0;
-  EXPECT_THROW((Supervisor{spec, bad_workers}), std::invalid_argument);
+  auto bad_workers = supervised_options(store("s"));
+  bad_workers.local_workers = -1;
+  EXPECT_THROW((RemoteWorkerPool{spec, bad_workers}), std::invalid_argument);
 
-  auto bad_deadline = fast_options(store("s"));
-  bad_deadline.point_deadline_s = 0.0;
-  EXPECT_THROW((Supervisor{spec, bad_deadline}), std::invalid_argument);
+  // The per-point deadline keeps its "(accepted: > 0 seconds)" contract.
+  for (const double deadline : {0.0, -1.0}) {
+    auto bad_deadline = supervised_options(store("s"));
+    bad_deadline.point_deadline_s = deadline;
+    try {
+      RemoteWorkerPool pool{spec, bad_deadline};
+      ADD_FAILURE() << "deadline " << deadline << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("point_deadline_s"),
+                std::string::npos);
+      EXPECT_NE(std::string(error.what()).find("(accepted: > 0 seconds)"),
+                std::string::npos);
+    }
+  }
 
-  auto bad_retries = fast_options(store("s"));
+  auto bad_retries = supervised_options(store("s"));
   bad_retries.retry.max_retries = -1;
-  EXPECT_THROW((Supervisor{spec, bad_retries}), std::invalid_argument);
+  EXPECT_THROW((RemoteWorkerPool{spec, bad_retries}), std::invalid_argument);
 
-  auto bad_chaos = fast_options(store("s"));
+  auto bad_chaos = supervised_options(store("s"));
   bad_chaos.chaos.sigkill = 1.5;
-  EXPECT_THROW((Supervisor{spec, bad_chaos}), std::invalid_argument);
+  EXPECT_THROW((RemoteWorkerPool{spec, bad_chaos}), std::invalid_argument);
 
-  auto bad_fires = fast_options(store("s"));
+  auto bad_fires = supervised_options(store("s"));
   bad_fires.chaos.max_fires_per_point = -1;
-  EXPECT_THROW((Supervisor{spec, bad_fires}), std::invalid_argument);
+  EXPECT_THROW((RemoteWorkerPool{spec, bad_fires}), std::invalid_argument);
 }
 
 TEST_F(SupervisorTest, InertChaosConfigIsDisabled) {

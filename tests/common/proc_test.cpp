@@ -1,8 +1,9 @@
 // Process isolation primitives: frame round trips through real pipes,
 // incremental decoding across arbitrary read boundaries, the corruption
-// and mid-frame EOF states the supervisor's health checks rest on, and
+// and mid-frame EOF states the coordinator's health checks rest on, and
 // Subprocess exit classification (clean, nonzero, signaled, escaping
-// exception).
+// exception). Subprocess owns no channel to its child, so the pipe tests
+// open their own and hand the write end to the child body.
 #include "common/proc.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sos::common {
@@ -154,13 +156,42 @@ TEST(FrameBuffer, U32RoundTrip) {
   EXPECT_EQ(read_u32le(bytes.data() + 4), 0xdeadbeefu);
 }
 
-/// Drains a subprocess's pipe to EOF and decodes every frame.
-std::vector<std::string> drain_frames(Subprocess& child) {
+/// A child wired to the parent by a test-owned pipe: `body(write_fd)` runs
+/// in the child, the parent keeps the read end (closed on destruction).
+struct PipedChild {
+  Subprocess child;
+  int read_fd = -1;
+
+  ~PipedChild() {
+    if (read_fd >= 0) ::close(read_fd);
+  }
+  void close_read() {
+    ::close(read_fd);
+    read_fd = -1;
+  }
+};
+
+template <typename Body>
+PipedChild spawn_piped(Body body) {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  const int read_fd = fds[0];
+  const int write_fd = fds[1];
+  auto child = Subprocess::spawn([read_fd, write_fd, body]() {
+    ::close(read_fd);
+    return body(write_fd);
+  });
+  ::close(write_fd);
+  return PipedChild{std::move(child), read_fd};
+}
+
+/// Drains a child's pipe to EOF and decodes every frame.
+std::vector<std::string> drain_frames(PipedChild& piped) {
   FrameBuffer buffer;
   std::vector<std::string> frames;
   char chunk[4096];
   for (;;) {
-    const ::ssize_t n = ::read(child.read_fd(), chunk, sizeof(chunk));
+    const ::ssize_t n = ::read(piped.read_fd, chunk, sizeof(chunk));
     if (n <= 0) break;
     buffer.feed(chunk, static_cast<std::size_t>(n));
     while (auto frame = buffer.next_frame()) frames.push_back(*frame);
@@ -169,22 +200,22 @@ std::vector<std::string> drain_frames(Subprocess& child) {
 }
 
 TEST(Subprocess, StreamsFramesAndExitsClean) {
-  auto child = Subprocess::spawn([](int write_fd) {
+  auto piped = spawn_piped([](int write_fd) {
     if (!write_frame(write_fd, "alpha")) return 1;
     if (!write_frame(write_fd, "beta")) return 1;
     return 0;
   });
-  const auto frames = drain_frames(child);
+  const auto frames = drain_frames(piped);
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0], "alpha");
   EXPECT_EQ(frames[1], "beta");
-  const auto exit = child.wait_exit();
+  const auto exit = piped.child.wait_exit();
   EXPECT_TRUE(exit.clean());
   EXPECT_EQ(exit.describe(), "exit 0");
 }
 
 TEST(Subprocess, NonzeroExitCodeIsReported) {
-  auto child = Subprocess::spawn([](int) { return 41; });
+  auto child = Subprocess::spawn([]() { return 41; });
   const auto exit = child.wait_exit();
   EXPECT_FALSE(exit.clean());
   EXPECT_FALSE(exit.signaled);
@@ -193,7 +224,7 @@ TEST(Subprocess, NonzeroExitCodeIsReported) {
 }
 
 TEST(Subprocess, SigkillIsClassifiedAsSignaled) {
-  auto child = Subprocess::spawn([](int) {
+  auto child = Subprocess::spawn([]() {
     ::raise(SIGKILL);
     return 0;  // unreachable
   });
@@ -205,16 +236,16 @@ TEST(Subprocess, SigkillIsClassifiedAsSignaled) {
 
 TEST(Subprocess, EscapingExceptionExitsSeventy) {
   auto child = Subprocess::spawn(
-      [](int) -> int { throw std::runtime_error("worker bug"); });
+      []() -> int { throw std::runtime_error("worker bug"); });
   const auto exit = child.wait_exit();
   EXPECT_FALSE(exit.signaled);
   EXPECT_EQ(exit.code, 70);  // EX_SOFTWARE
 }
 
 TEST(Subprocess, KillTerminatesAStoppedChild) {
-  // SIGSTOP-ed children are the supervisor's deadline case: SIGKILL must
-  // get through anyway.
-  auto child = Subprocess::spawn([](int) {
+  // SIGSTOP-ed children are the coordinator's hang case: SIGKILL must get
+  // through anyway.
+  auto child = Subprocess::spawn([]() {
     ::raise(SIGSTOP);
     return 0;
   });
@@ -225,7 +256,7 @@ TEST(Subprocess, KillTerminatesAStoppedChild) {
 }
 
 TEST(Subprocess, PollExitIsNonBlockingAndCaches) {
-  auto child = Subprocess::spawn([](int) { return 0; });
+  auto child = Subprocess::spawn([]() { return 0; });
   const auto exit = child.wait_exit();
   EXPECT_TRUE(exit.clean());
   // After reaping, poll_exit keeps returning the cached result.
@@ -274,7 +305,7 @@ TEST(Subprocess, WriteFrameToAClosedReaderFailsInsteadOfKillingUs) {
   // The EPIPE hardening: with SIGPIPE ignored, write_frame against a pipe
   // whose reader is gone must return false (worker "peer is gone, stop
   // quietly" path), not terminate the process.
-  auto child = Subprocess::spawn([](int write_fd) {
+  auto piped = spawn_piped([](int write_fd) {
     ::signal(SIGPIPE, SIG_IGN);
     // First frame lands while the parent still holds the read end open.
     if (!write_frame(write_fd, "landed")) return 2;
@@ -294,17 +325,17 @@ TEST(Subprocess, WriteFrameToAClosedReaderFailsInsteadOfKillingUs) {
   FrameBuffer buffer;
   char chunk[64];
   while (!buffer.next_frame().has_value()) {
-    const ::ssize_t n = ::read(child.read_fd(), chunk, sizeof(chunk));
+    const ::ssize_t n = ::read(piped.read_fd, chunk, sizeof(chunk));
     ASSERT_GT(n, 0);
     buffer.feed(chunk, static_cast<std::size_t>(n));
   }
-  child.close_read();
-  const auto exit = child.wait_exit();
+  piped.close_read();
+  const auto exit = piped.child.wait_exit();
   EXPECT_TRUE(exit.clean()) << exit.describe();
 }
 
 TEST(Subprocess, TruncatedFrameIsVisibleAtEof) {
-  auto child = Subprocess::spawn([](int write_fd) {
+  auto piped = spawn_piped([](int write_fd) {
     // A length prefix promising 8 bytes, then death after 3.
     std::string partial;
     append_u32le(partial, 8);
@@ -316,13 +347,13 @@ TEST(Subprocess, TruncatedFrameIsVisibleAtEof) {
   FrameBuffer buffer;
   char chunk[256];
   for (;;) {
-    const ::ssize_t n = ::read(child.read_fd(), chunk, sizeof(chunk));
+    const ::ssize_t n = ::read(piped.read_fd, chunk, sizeof(chunk));
     if (n <= 0) break;
     buffer.feed(chunk, static_cast<std::size_t>(n));
   }
   EXPECT_FALSE(buffer.next_frame().has_value());
   EXPECT_TRUE(buffer.mid_frame());  // the lying-worker detection
-  EXPECT_TRUE(child.wait_exit().clean());
+  EXPECT_TRUE(piped.child.wait_exit().clean());
 }
 
 }  // namespace
