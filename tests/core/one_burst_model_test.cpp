@@ -221,27 +221,37 @@ TEST(OneBurstModel, ExtremeBudgetsStayInBounds) {
 
 // Property sweep: P_S is always a probability and per-layer sets never
 // exceed the layer size.
+// gtest names each case by a byte dump of its SweepParam, so the four bytes
+// before p_break are an explicit zeroed member rather than padding, whose
+// contents would vary from build to build.
 struct SweepParam {
+  SweepParam(int layers_in, int budget_t_in, int budget_c_in, double p_break_in)
+      : layers(layers_in),
+        budget_t(budget_t_in),
+        budget_c(budget_c_in),
+        p_break(p_break_in) {}
+
   int layers;
   int budget_t;
   int budget_c;
+  int zero = 0;
   double p_break;
 };
 
 class OneBurstSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(OneBurstSweep, InvariantsHold) {
-  const auto [layers, budget_t, budget_c, p_break] = GetParam();
+  const auto& param = GetParam();
   for (const auto& mapping :
        {MappingPolicy::one_to_one(), MappingPolicy::one_to_two(),
         MappingPolicy::one_to_five(), MappingPolicy::one_to_half(),
         MappingPolicy::one_to_all()}) {
-    const auto design = paper_design(layers, mapping);
+    const auto design = paper_design(param.layers, mapping);
     const auto result = OneBurstModel::evaluate(
-        design, OneBurstAttack{budget_t, budget_c, p_break});
+        design, OneBurstAttack{param.budget_t, param.budget_c, param.p_break});
     EXPECT_GE(result.p_success(), 0.0);
     EXPECT_LE(result.p_success(), 1.0);
-    for (int i = 1; i <= layers + 1; ++i) {
+    for (int i = 1; i <= param.layers + 1; ++i) {
       const auto& layer = result.layers[static_cast<std::size_t>(i - 1)];
       const auto size = static_cast<double>(design.layer_size(i));
       EXPECT_GE(layer.broken, 0.0);

@@ -5,6 +5,8 @@
 // trustworthy.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "attack/one_burst_attacker.h"
 #include "attack/successive_attacker.h"
 #include "core/exact_models.h"
@@ -24,6 +26,15 @@ struct LatticePoint {
   int rounds;
   double prior;
 };
+
+// Names the case by its fields. Without it gtest dumps the struct's raw
+// bytes, which hold pointer and padding bytes that change from run to run,
+// so the test's name would too.
+void PrintTo(const LatticePoint& point, std::ostream* os) {
+  *os << "L" << point.layers << " " << point.mapping << " "
+      << point.distribution << " T" << point.budget_t << " C"
+      << point.budget_c << " R" << point.rounds << " p" << point.prior;
+}
 
 core::SosDesign make_design(const LatticePoint& point, int total, int sos) {
   return core::SosDesign::make(
@@ -98,6 +109,11 @@ struct OneBurstPoint {
   int budget_c;
   double p_break;
 };
+
+void PrintTo(const OneBurstPoint& point, std::ostream* os) {
+  *os << "L" << point.layers << " " << point.mapping << " T"
+      << point.budget_t << " C" << point.budget_c << " p" << point.p_break;
+}
 
 class OneBurstModelVsSimulation
     : public ::testing::TestWithParam<OneBurstPoint> {};
