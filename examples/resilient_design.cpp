@@ -22,8 +22,10 @@
 #include "common/cli.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "core/robust_design.h"
 #include "core/successive_model.h"
+#include "optimize/cost_model.h"
+#include "optimize/design_space.h"
+#include "optimize/objective.h"
 #include "sim/monte_carlo.h"
 
 using namespace sos;  // NOLINT: example brevity
@@ -31,10 +33,7 @@ using namespace sos;  // NOLINT: example brevity
 namespace {
 
 struct Candidate {
-  core::SosDesign design;
-  std::string mapping;
-  std::string distribution;
-  int layers;
+  optimize::DesignPoint point;
   double p_model;
 };
 
@@ -56,6 +55,20 @@ int main(int argc, char** argv) try {
   const int max_layers = static_cast<int>(args.get_int("max-layers", 8));
   const auto top = static_cast<std::size_t>(args.get_int("top", 10));
 
+  // The paper's design grid: every layer count up to --max-layers (and at
+  // most one node per layer), five mappings, three distributions.
+  optimize::DesignSpace space;
+  space.total_overlay_nodes = total;
+  space.filter_count = filters;
+  space.layers.clear();
+  for (int layers = 1; layers <= std::min(max_layers, sos_nodes); ++layers)
+    space.layers.push_back(layers);
+  space.sos_nodes = {sos_nodes};
+  space.mappings = {"one-to-one", "one-to-two", "one-to-five", "one-to-half",
+                    "one-to-all"};
+  space.distributions = {"even", "increasing", "decreasing"};
+  const auto points = space.enumerate();
+
   if (args.get_bool("robust", false)) {
     core::AttackBudget budget;
     budget.total = args.get_double("budget", 4000.0);
@@ -65,58 +78,46 @@ int main(int argc, char** argv) try {
     budget.prior_knowledge = attack.prior_knowledge;
     budget.break_in_success = attack.break_in_success;
 
-    core::RobustSearchSpace space;
-    space.total_overlay_nodes = total;
-    space.sos_nodes = sos_nodes;
-    space.filter_count = filters;
-    space.max_layers = max_layers;
+    optimize::AttackerObjective objective;  // successive, 21 split steps
+    objective.budget = budget;
 
     std::printf(
         "minimax search: attacker splits %.0f budget units freely "
         "(break-in %.1f / congestion %.1f per unit)\n\n",
         budget.total, budget.break_in_cost, budget.congestion_cost);
-    const auto ranked = core::robust_design_search(space, budget);
+    // Best guaranteed P_S first; ties go to fewer layers (cheaper latency).
+    auto ranked =
+        optimize::evaluate_designs(points, optimize::CostModel{}, objective);
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const optimize::EvaluatedDesign& a,
+                        const optimize::EvaluatedDesign& b) {
+                       if (a.p_success() != b.p_success())
+                         return a.p_success() > b.p_success();
+                       return a.point.layers < b.point.layers;
+                     });
     common::Table table{{"rank", "L", "mapping", "distribution",
                          "guaranteed P_S", "attacker's split (NT/NC)"}};
     for (std::size_t rank = 0; rank < ranked.size() && rank < top; ++rank) {
       const auto& c = ranked[rank];
-      table.add_row({std::to_string(rank + 1),
-                     std::to_string(c.design.layers()), c.mapping_label,
-                     c.distribution_label,
-                     common::format_double(c.guaranteed_p_success(), 4),
+      table.add_row({std::to_string(rank + 1), std::to_string(c.point.layers),
+                     c.point.mapping, c.point.distribution,
+                     common::format_double(c.p_success(), 4),
                      std::to_string(c.worst.break_in_budget) + "/" +
                          std::to_string(c.worst.congestion_budget)});
     }
     std::fputs(table.to_ascii().c_str(), stdout);
     std::printf("\nguaranteed availability of the champion: %.4f\n",
-                ranked.front().guaranteed_p_success());
+                ranked.front().p_success());
     return 0;
   }
 
   std::printf("searching designs for attack %s PE=%.2f ...\n\n",
               attack.summary().c_str(), attack.prior_knowledge);
 
-  const std::vector<core::MappingPolicy> mappings{
-      core::MappingPolicy::one_to_one(), core::MappingPolicy::one_to_two(),
-      core::MappingPolicy::one_to_five(), core::MappingPolicy::one_to_half(),
-      core::MappingPolicy::one_to_all()};
-  const std::vector<core::NodeDistribution> distributions{
-      core::NodeDistribution::even(), core::NodeDistribution::increasing(),
-      core::NodeDistribution::decreasing()};
-
   std::vector<Candidate> candidates;
-  for (int layers = 1; layers <= max_layers; ++layers) {
-    for (const auto& mapping : mappings) {
-      for (const auto& dist : distributions) {
-        if (layers == 1 && dist.label() != "even") continue;  // degenerate
-        const auto design = core::SosDesign::make(total, sos_nodes, layers,
-                                                  filters, mapping, dist);
-        candidates.push_back(Candidate{
-            design, mapping.label(), dist.label(), layers,
-            core::SuccessiveModel::p_success(design, attack)});
-      }
-    }
-  }
+  for (const auto& point : points)
+    candidates.push_back(Candidate{
+        point, core::SuccessiveModel::p_success(point.design, attack)});
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               return a.p_model > b.p_model;
@@ -135,28 +136,29 @@ int main(int argc, char** argv) try {
       sim::MonteCarloConfig config;
       config.trials = verify_trials;
       const auto mc = sim::run_monte_carlo(
-          c.design,
+          c.point.design,
           [&attacker](sosnet::SosOverlay& overlay, common::Rng& rng) {
             return attacker.execute(overlay, rng);
           },
           config);
       mc_text = common::format_double(mc.p_success, 4);
     }
-    table.add_row({std::to_string(rank + 1), std::to_string(c.layers),
-                   c.mapping, c.distribution,
+    table.add_row({std::to_string(rank + 1), std::to_string(c.point.layers),
+                   c.point.mapping, c.point.distribution,
                    common::format_double(c.p_model, 4), mc_text});
   }
   std::fputs(table.to_ascii().c_str(), stdout);
 
   const auto& best = candidates.front();
   std::printf("\nbest design: %s (%s distribution), analytical P_S=%.4f\n",
-              best.design.summary().c_str(), best.distribution.c_str(),
+              best.point.design.summary().c_str(),
+              best.point.distribution.c_str(),
               best.p_model);
   std::printf("the original SOS shape (L=3, one-to-all, even) ranks ");
   for (std::size_t rank = 0; rank < candidates.size(); ++rank) {
     const auto& c = candidates[rank];
-    if (c.layers == 3 && c.mapping == "one-to-all" &&
-        c.distribution == "even") {
+    if (c.point.layers == 3 && c.point.mapping == "one-to-all" &&
+        c.point.distribution == "even") {
       std::printf("#%zu with P_S=%.4f\n", rank + 1, c.p_model);
       break;
     }

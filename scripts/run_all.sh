@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Regenerates every figure and stores CSVs + full text output under results/.
+# Regenerates every figure (`sos_campaign run all`) and stores CSVs + full
+# text output under results/.
 #
-#   scripts/run_all.sh [build-dir] [results-dir] [extra bench flags...]
+#   scripts/run_all.sh [build-dir] [results-dir] [extra sweep flags...]
 #
 # Example: scripts/run_all.sh build results --mc-trials=60
 #
-# Pass --resume (anywhere in the extra flags) to route the figure suite
-# through the campaign engine: results are checkpointed per figure into
-# $results_dir/.campaign, so an interrupted suite picks up where it left
-# off and an unchanged rerun is served entirely from the warm cache. The
-# final $results_dir/*.{csv,txt} files are byte-identical either way.
+# The suite's campaign store is $results_dir/.campaign; without --resume it
+# is removed first, so the suite computes cold. Pass --resume (anywhere in
+# the extra flags) to keep it: results are checkpointed per figure, so an
+# interrupted suite picks up where it left off and an unchanged rerun is
+# served entirely from the warm cache. The final $results_dir/*.{csv,txt}
+# files are byte-identical either way.
 #
 # Pass --supervised to additionally route that campaign through the
 # loopback worker pool: each figure computes in a forked worker process,
@@ -59,8 +61,8 @@
 # fsck scan/quarantine/heal, coordinator crash-recovery, authenticated
 # transport) followed by the bench/perf_micro BM_Integrity* microbenches
 # (sealed-transport campaign throughput, the BENCH_integrity.json
-# workload); with --resume, the suite store is additionally fscked after
-# the figure sweep so at-rest corruption fails the script (exit 3).
+# workload); the suite store is additionally fscked after the figure sweep
+# so at-rest corruption fails the script (exit 3).
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -103,9 +105,10 @@ if [[ -n "$chaos_tests" ]]; then
   ctest --test-dir "$chaos_tests" -L chaos --output-on-failure
 fi
 
-if [[ ! -d "$build_dir/bench" ]]; then
-  echo "error: $build_dir/bench not found; build first:" >&2
-  echo "  cmake -B $build_dir -G Ninja && cmake --build $build_dir" >&2
+campaign_cli="$build_dir/tools/sos_campaign"
+if [[ ! -x "$campaign_cli" ]]; then
+  echo "error: $campaign_cli not found; build first:" >&2
+  echo "  cmake -B $build_dir && cmake --build $build_dir" >&2
   exit 1
 fi
 
@@ -173,62 +176,43 @@ if [[ "$fsck" == 1 ]]; then
   fi
 fi
 
-if [[ "$resume" == 1 ]]; then
-  campaign_cli="$build_dir/tools/sos_campaign"
-  if [[ ! -x "$campaign_cli" ]]; then
-    echo "error: $campaign_cli not found; build first" >&2
-    exit 1
-  fi
-  supervise_flags=()
-  if [[ "$supervised" == 1 ]]; then
-    supervise_flags=(--supervised)
-    echo "== figure suite via supervised campaign (store: $results_dir/.campaign)"
-  else
-    echo "== figure suite via campaign engine (store: $results_dir/.campaign)"
-  fi
-  # A degraded (exit 3) supervised run still wrote every completed figure;
-  # surface the failure after the summary instead of dying mid-script.
-  campaign_rc=0
-  "$campaign_cli" run all --store="$results_dir/.campaign" \
-    --results="$results_dir" ${supervise_flags+"${supervise_flags[@]}"} "$@" \
-    || campaign_rc=$?
-  if [[ "$campaign_rc" != 0 && "$campaign_rc" != 3 ]]; then
-    exit "$campaign_rc"
-  fi
-  if [[ "$fsck" == 1 ]]; then
-    echo "== fsck over the suite store ($results_dir/.campaign)"
-    fsck_rc=0
-    "$campaign_cli" fsck "$results_dir/.campaign" || fsck_rc=$?
-    if [[ "$fsck_rc" != 0 ]]; then
-      echo "suite store is corrupt; rerun to recompute the damaged" \
-           "figures" >&2
-      exit 3
-    fi
-  fi
-  run_perf_micro  # perf_micro takes google-benchmark flags, not sweep flags
-  grep -hE '\[(PASS|FAIL)\]' "$results_dir"/*.txt || true
-else
-  for bench in "$build_dir"/bench/*; do
-    [[ -x "$bench" && -f "$bench" ]] || continue
-    name="$(basename "$bench")"
-    if [[ "$name" == perf_macro ]]; then
-      continue  # google-benchmark flags only; runs under --scale above
-    fi
-    if [[ "$name" == perf_micro ]]; then
-      echo "== $name"
-      "$bench" "$@" | tee "$results_dir/$name.txt" >/dev/null || true
-      continue
-    fi
-    echo "== $name"
-    "$bench" --csv="$results_dir/$name.csv" "$@" | tee "$results_dir/$name.txt" \
-      | grep -E '\[(PASS|FAIL)\]' || true
-  done
+# Without --resume the suite computes cold: the store is removed first.
+if [[ "$resume" != 1 ]]; then
+  rm -rf "$results_dir/.campaign"
 fi
+supervise_flags=()
+if [[ "$supervised" == 1 ]]; then
+  supervise_flags=(--supervised)
+  echo "== figure suite via supervised campaign (store: $results_dir/.campaign)"
+else
+  echo "== figure suite via campaign engine (store: $results_dir/.campaign)"
+fi
+# A degraded (exit 3) supervised run still wrote every completed figure;
+# surface the failure after the summary instead of dying mid-script.
+campaign_rc=0
+"$campaign_cli" run all --store="$results_dir/.campaign" \
+  --results="$results_dir" ${supervise_flags+"${supervise_flags[@]}"} "$@" \
+  || campaign_rc=$?
+if [[ "$campaign_rc" != 0 && "$campaign_rc" != 3 ]]; then
+  exit "$campaign_rc"
+fi
+if [[ "$fsck" == 1 ]]; then
+  echo "== fsck over the suite store ($results_dir/.campaign)"
+  fsck_rc=0
+  "$campaign_cli" fsck "$results_dir/.campaign" || fsck_rc=$?
+  if [[ "$fsck_rc" != 0 ]]; then
+    echo "suite store is corrupt; rerun to recompute the damaged" \
+         "figures" >&2
+    exit 3
+  fi
+fi
+run_perf_micro  # perf_micro takes google-benchmark flags, not sweep flags
+grep -hE '\[(PASS|FAIL)\]' "$results_dir"/*.txt || true
 
 echo
 echo "results written to $results_dir/"
 grep -h '\[FAIL\]' "$results_dir"/*.txt 2>/dev/null && exit 1
-if [[ "${campaign_rc:-0}" == 3 ]]; then
+if [[ "$campaign_rc" == 3 ]]; then
   echo "campaign completed DEGRADED (quarantined points; see" \
        "$build_dir/tools/sos_campaign status $results_dir/.campaign)" >&2
   exit 3

@@ -9,9 +9,9 @@ namespace sos::campaign {
 
 namespace {
 
-// Id, bench binary base name, legacy default --mc-trials, generator. The
-// bench names and trial defaults must track bench/CMakeLists.txt and the
-// *_main.cpp wrappers; registry_test pins id <-> generated Figure::id.
+// Id, result-file base name, default --mc-trials, generator. The result
+// names must track the bench_smoke_<name> entries in tests/CMakeLists.txt;
+// registry_test pins id <-> generated Figure::id.
 const std::vector<RegisteredFigure> kRegistry{
     {"fig4a", "fig4a_one_burst_congestion", 0, experiments::fig4a},
     {"fig4b", "fig4b_one_burst_breakin", 0, experiments::fig4b},

@@ -1,11 +1,10 @@
 // Figure registry + campaign-point expansion.
 //
 // Every figure of the evaluation (the paper's fig4/6/7/8 set and the ext_*
-// extensions) is registered here by id, together with its bench binary base
-// name and the Monte Carlo trial count its legacy binary defaulted to. The
-// per-figure binaries, the sos_campaign CLI and the CampaignRunner all
-// dispatch through this table, so "the set of experiments" has exactly one
-// definition.
+// extensions) is registered here by id, together with its result-file base
+// name and its default Monte Carlo trial count. The sos_campaign CLI
+// (`sos_campaign run <id>`) and the CampaignRunner dispatch through this
+// table, so "the set of experiments" has exactly one definition.
 //
 // expand() turns a validated ScenarioSpec into the ordered list of scenario
 // points the runner executes: one point per figure in figures mode, the
@@ -24,11 +23,10 @@ namespace sos::campaign {
 
 struct RegisteredFigure {
   const char* id;          // spec/figure id, e.g. "fig4a"
-  const char* bench_name;  // bench binary base name, e.g.
-                           // "fig4a_one_burst_congestion" — also the
-                           // results/<name>.{csv,txt} base used by
-                           // scripts/run_all.sh
-  int default_mc_trials;   // the legacy binary's default --mc-trials
+  const char* bench_name;  // result-file base name, e.g.
+                           // "fig4a_one_burst_congestion": the figure is
+                           // written to results/<name>.{csv,txt}
+  int default_mc_trials;   // default --mc-trials
   experiments::Figure (*generate)(const experiments::Params&);
 };
 

@@ -13,6 +13,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -195,6 +196,9 @@ CampaignReport RemoteWorkerPool::run() {
   std::vector<Session> sessions;
 
   std::vector<common::Subprocess> children;
+  // How each reaped local child ended, by pid: its session's EOF may be
+  // drained only after the reap pass has already dropped the child.
+  std::map<std::uint64_t, std::string> reaped_exits;
   int respawns = 0;
   const int max_respawns = 32 + 8 * total;  // chaos-respawn storm backstop
 
@@ -288,6 +292,29 @@ CampaignReport RemoteWorkerPool::run() {
         child.kill();
         return;
       }
+  };
+
+  // The eviction reason for a session whose peer went away (EOF or a
+  // failed write) while holding work. A local child that exited says how
+  // ("exit 41", "signal 9 (SIGKILL)"); a running one gets a bounded moment
+  // to become reapable. An external worker, a chaos connection drop or a
+  // child still running reads as a lost connection.
+  const auto eof_reason = [&](const Session& session) -> std::string {
+    const std::string lost = "connection lost";
+    if (session.outstanding.empty()) return lost;  // nothing gets charged
+    if (const auto it = reaped_exits.find(session.pid);
+        it != reaped_exits.end())
+      return it->second;
+    for (auto& child : children) {
+      if (static_cast<std::uint64_t>(child.pid()) != session.pid) continue;
+      const auto give_up = Clock::now() + std::chrono::milliseconds(100);
+      for (;;) {
+        if (const auto exit = child.poll_exit()) return exit->describe();
+        if (Clock::now() >= give_up) return lost;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return lost;
   };
 
   // One result frame. Any valid pending index is accepted — including a
@@ -459,7 +486,8 @@ CampaignReport RemoteWorkerPool::run() {
   while (!settled()) {
     // --- Reap exited local children; respawn while work remains. ---
     for (auto it = children.begin(); it != children.end();) {
-      if (it->poll_exit()) {
+      if (const auto exit = it->poll_exit()) {
+        reaped_exits[static_cast<std::uint64_t>(it->pid())] = exit->describe();
         it = children.erase(it);
       } else {
         ++it;
@@ -499,7 +527,7 @@ CampaignReport RemoteWorkerPool::run() {
           if (!common::write_frame(
                   session.sock.fd(),
                   seal_frame(heartbeat_inner, session.session_key)))
-            evict(session, "connection lost", /*suspend=*/false);
+            evict(session, eof_reason(session), /*suspend=*/false);
       next_beat = now + beat_every;
     }
 
@@ -588,7 +616,7 @@ CampaignReport RemoteWorkerPool::run() {
         if (session.frames.mid_frame())
           evict(session, "truncated result frame", /*suspend=*/false);
         else
-          evict(session, "connection lost", /*suspend=*/false);
+          evict(session, eof_reason(session), /*suspend=*/false);
       }
     }
 

@@ -129,8 +129,8 @@ class CampaignRunner {
   std::string sweep_csv() const;
 
   /// Writes the campaign's final outputs under `results_dir` — figures
-  /// mode: <bench_name>.txt + <bench_name>.csv per figure, byte-identical
-  /// to what the legacy binary and scripts/run_all.sh produce; sweep mode:
+  /// mode: <bench_name>.txt + <bench_name>.csv per figure (what
+  /// `sos_campaign run` and scripts/run_all.sh produce); sweep mode:
   /// <campaign>.csv. Returns the written paths.
   std::vector<std::string> write_outputs(const std::string& results_dir) const;
 

@@ -35,8 +35,8 @@ struct ScenarioSpec {
   enum class Mode { kFigures, kSweep };
 
   /// spec.mc_trials value meaning "each figure's registered default trial
-  /// count" (what the legacy per-figure binaries use when no --mc-trials
-  /// flag is given). Only meaningful in figures mode.
+  /// count" (what `sos_campaign run <id>` uses when no --mc-trials flag is
+  /// given). Only meaningful in figures mode.
   static constexpr int kPerFigureDefaultTrials = -1;
 
   /// Adaptive trial resolution, spelled `mc_trials = auto:ci=<w>[:rel]

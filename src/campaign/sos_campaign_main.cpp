@@ -1,7 +1,7 @@
 // sos_campaign — CLI front end for the campaign engine.
 //
 //   sos_campaign list
-//       Registered figures (id, bench binary, default trials) and built-in
+//       Registered figures (id, output name, default trials) and built-in
 //       campaign names.
 //   sos_campaign run <spec> [flags]
 //       <spec> is a spec file path, a registered figure id, or "all" (the
@@ -160,7 +160,7 @@ int reject_unused(const common::Args& args) {
 
 int cmd_list() {
   std::printf("registered figures (usable as 'sos_campaign run <id>'):\n");
-  std::printf("  %-14s %-28s %s\n", "id", "bench binary", "default trials");
+  std::printf("  %-14s %-28s %s\n", "id", "output", "default trials");
   for (const auto& entry : campaign::figure_registry())
     std::printf("  %-14s %-28s %d\n", entry.id, entry.bench_name,
                 entry.default_mc_trials);

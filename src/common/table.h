@@ -1,7 +1,7 @@
 // Aligned ASCII tables + CSV emission for the experiment harness.
 //
-// Every bench binary prints its figure both as a machine-readable CSV block
-// and as a human-readable table, so results can be diffed and re-plotted
+// Every figure is rendered both as a machine-readable CSV block and as a
+// human-readable table, so results can be diffed and re-plotted
 // without extra tooling.
 #pragma once
 

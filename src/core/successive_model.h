@@ -32,7 +32,7 @@ struct SuccessiveOptions {
   /// pool, ignoring random attempts that landed on innocent overlay nodes.
   /// true  = reproduce the paper's bookkeeping verbatim;
   /// false = also subtract non-SOS attempts (slightly smaller pool). The
-  /// difference is an ablation reported by bench/ext_model_vs_montecarlo.
+  /// difference is an ablation reported by the ext_pool figure.
   bool paper_faithful_pool = true;
 };
 

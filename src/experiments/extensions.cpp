@@ -3,7 +3,9 @@
 // validation, exact-vs-average-case error, the Section 5 adaptive attacker,
 // repair dynamics, and Chord transport fidelity.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "common/histogram.h"
@@ -24,6 +26,15 @@ using detail::fmt;
 
 int effective_trials(const Params& params, int fallback = 40) {
   return params.mc_trials > 0 ? params.mc_trials : fallback;
+}
+
+/// Mean per trial of a count summed across the trials of `mc`.
+double per_trial_mean(const std::atomic<std::int64_t>& sum,
+                      const sim::MonteCarloResult& mc) {
+  return mc.resolved_trials == 0
+             ? 0.0
+             : static_cast<double>(sum.load()) /
+                   static_cast<double>(mc.resolved_trials);
 }
 
 }  // namespace
@@ -342,13 +353,14 @@ Figure ext_repair_dynamics(const Params& params) {
   for (const double rate : {0.0, 0.1, 0.2, 0.4, 0.6, 0.8}) {
     sim::RepairConfig repair;
     repair.repair_rate = rate;
-    common::RunningStats repaired;
+    // Trials run on pool threads: an integer sum is exact in any order.
+    std::atomic<std::int64_t> repaired{0};
     const auto mc = sim::run_monte_carlo(
         design,
         [&](sosnet::SosOverlay& overlay, common::Rng& rng) {
           auto outcome = sim::run_successive_attack_with_repair(
               overlay, attack, repair, rng);
-          repaired.add(outcome.repaired_nodes + outcome.repaired_filters);
+          repaired += outcome.repaired_nodes + outcome.repaired_filters;
           return outcome.attack;
         },
         detail::mc_config(mc_params));
@@ -356,7 +368,8 @@ Figure ext_repair_dynamics(const Params& params) {
     series.ys.push_back(mc.p_success);
     values[rate] = mc.p_success;
     figure.table.add_row({fmt(rate, 2), fmt(mc.p_success), fmt(mc.ci.lo),
-                          fmt(mc.ci.hi), fmt(repaired.mean(), 1)});
+                          fmt(mc.ci.hi),
+                          fmt(per_trial_mean(repaired, mc), 1)});
   }
   figure.series.push_back(std::move(series));
 
@@ -597,26 +610,25 @@ Figure ext_migration_defense(const Params& params) {
   double p_none = 0.0, p_best_proactive = 0.0, p_reactive_only = 0.0;
 
   const auto measure = [&](const sim::MigrationConfig& config) {
-    common::RunningStats migrated;
-    common::RunningStats sos_broken;
+    // Trials run on pool threads: integer sums are exact in any order.
+    std::atomic<std::int64_t> migrated{0};
+    std::atomic<std::int64_t> sos_broken{0};
     const auto mc = sim::run_monte_carlo(
         design,
         [&](sosnet::SosOverlay& overlay, common::Rng& rng) {
           auto outcome = sim::run_successive_attack_with_migration(
               overlay, attack, config, rng);
-          migrated.add(outcome.migrated);
-          int broken = 0;
+          migrated += outcome.migrated;
           for (const int count : outcome.attack.broken_per_layer)
-            broken += count;
-          sos_broken.add(broken);
+            sos_broken += count;
           return outcome.attack;
         },
         detail::mc_config(mc_params));
     figure.table.add_row({fmt(config.migration_rate, 2),
                           fmt(config.proactive_rate, 2), fmt(mc.p_success),
                           fmt(mc.ci.lo), fmt(mc.ci.hi),
-                          fmt(migrated.mean(), 1),
-                          fmt(sos_broken.mean(), 1)});
+                          fmt(per_trial_mean(migrated, mc), 1),
+                          fmt(per_trial_mean(sos_broken, mc), 1)});
     return mc.p_success;
   };
 

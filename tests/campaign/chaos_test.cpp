@@ -138,9 +138,8 @@ TEST_F(ChaosTest, HungWorkerIsKilledAtTheDeadlineAndThePointRetried) {
 TEST_F(ChaosTest, UnlimitedFaultsDriveEveryPointIntoQuarantine) {
   // max_fires_per_point = 0: the fault fires on every attempt, so every
   // point exhausts its retries. The campaign must still terminate —
-  // settled and degraded, each point carrying a typed failure record —
-  // the bogus exit reads as the worker's connection dropping — instead of
-  // looping or dying.
+  // settled and degraded, each point carrying a typed failure record (the
+  // local child's exit status) — instead of looping or dying.
   const auto spec = tiny_sweep();
   auto options = chaos_options(store("s"));
   options.chaos.bad_exit = 1.0;
@@ -156,7 +155,7 @@ TEST_F(ChaosTest, UnlimitedFaultsDriveEveryPointIntoQuarantine) {
   ASSERT_EQ(report.failures.size(), 8u);
   for (const auto& failure : report.failures) {
     EXPECT_EQ(failure.attempts, 3);  // 1 + max_retries
-    EXPECT_EQ(failure.reason, "connection lost");
+    EXPECT_EQ(failure.reason, "exit 41");
   }
 
   // Degraded output assembly: the sweep CSV still has one row per point,

@@ -29,7 +29,7 @@ ScenarioSpec tiny_sweep() {
 }
 
 TEST(FigureRegistry, PinsTheLegacySuite) {
-  // One row per legacy bench binary: id, bench base name, default trials.
+  // One row per figure: id, result-file base name, default trials.
   const std::vector<std::tuple<std::string, std::string, int>> expected{
       {"fig4a", "fig4a_one_burst_congestion", 0},
       {"fig4b", "fig4b_one_burst_breakin", 0},
@@ -88,9 +88,9 @@ TEST(FigureRegistry, GeneratorProducesMatchingFigureId) {
 }
 
 TEST(CampaignExpand, SuiteSpecIsTheLegacyBenchLoop) {
-  // suite_spec must re-expand to the exact per-figure binary sequence: one
-  // point per registered figure, in registry order, each resolved to its
-  // legacy default trial count.
+  // suite_spec must re-expand to the figure suite: one point per
+  // registered figure, in registry order, each resolved to its default
+  // trial count.
   experiments::Params params;
   const auto points = expand(suite_spec(params));
   const auto& registry = figure_registry();

@@ -181,7 +181,7 @@ TEST_F(CampaignRunnerTest, FigureCampaignMatchesTheLegacyGenerator) {
   EXPECT_EQ(runner.figure_render("fig4a"), experiments::render_figure(figure));
   EXPECT_EQ(runner.figure_csv("fig4a"), figure.table.to_csv());
 
-  // write_outputs emits the bench binary's result file names.
+  // write_outputs emits the registered result file names.
   const auto written = runner.write_outputs((root_ / "results").string());
   ASSERT_EQ(written.size(), 2u);
   EXPECT_EQ(fs::path(written[0]).filename(),

@@ -196,6 +196,20 @@ TEST(Figures, MonteCarloOverlayAddsColumns) {
   EXPECT_NE(csv.find("mc_ci_lo"), std::string::npos);
 }
 
+// The side columns of ext_repair (mean_repaired) and ext_migration
+// (mean_migrated, mean_sos_broken) are summed from inside the trial lambda,
+// which runs on pool threads; they must not change from run to run.
+TEST(FigureDeterminism, RepairAndMigrationTablesRepeat) {
+  Params params;
+  params.mc_trials = 8;
+  params.mc_walks = 2;
+  for (const auto generate : {ext_repair_dynamics, ext_migration_defense}) {
+    const auto first = generate(params);
+    const auto second = generate(params);
+    EXPECT_EQ(first.table.to_csv(), second.table.to_csv()) << first.id;
+  }
+}
+
 TEST(Figures, ParamsScaleTheSystem) {
   Params params = fast_params();
   params.total_overlay = 20000;  // figures keep the paper's N_C budgets,

@@ -22,6 +22,15 @@ DesignSpace small_space() {
   return space;
 }
 
+/// Layers 1..5, five mappings, three distributions at N=10000, n=100.
+DesignSpace paper_grid() {
+  DesignSpace space;
+  space.mappings = {"one-to-one", "one-to-two", "one-to-five", "one-to-half",
+                    "one-to-all"};
+  space.distributions = {"even", "increasing", "decreasing"};
+  return space;
+}
+
 TEST(DesignSpace, SizeMatchesEnumerateAndSkipsDegenerates) {
   const auto space = small_space();
   space.validate();
@@ -34,6 +43,12 @@ TEST(DesignSpace, SizeMatchesEnumerateAndSkipsDegenerates) {
   std::set<std::string> keys;
   for (const auto& point : points) keys.insert(point.key());
   EXPECT_EQ(keys.size(), points.size()) << "keys must be unique";
+
+  // The paper's grid up to L=5: L=1 contributes 5 mappings x 1
+  // distribution, L=2..5 contribute 5 x 3 each.
+  const auto paper = paper_grid();
+  EXPECT_EQ(paper.size(), 5u + 4u * 15u);
+  EXPECT_EQ(paper.enumerate().size(), paper.size());
 }
 
 TEST(DesignSpace, EnumerationOrderIsCanonical) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -41,6 +43,17 @@ AttackerObjective test_objective() {
   objective.budget.break_in_success = 0.5;
   objective.split_steps = 11;
   return objective;
+}
+
+/// The paper's grid (layers 1..5 at N=10000, n=100, five mappings, three
+/// distributions) against the default successive attacker's 4000-unit
+/// budget.
+DesignSpace paper_space() {
+  DesignSpace space;
+  space.mappings = {"one-to-one", "one-to-two", "one-to-five", "one-to-half",
+                    "one-to-all"};
+  space.distributions = {"even", "increasing", "decreasing"};
+  return space;
 }
 
 void expect_same_frontier(const SearchResult& a, const SearchResult& b) {
@@ -81,15 +94,40 @@ TEST(Search, BoundedExhaustiveMatchesUnbounded) {
 }
 
 TEST(Search, FrontierEqualsParetoOfFullEvaluation) {
-  const auto space = test_space();
-  const auto objective = test_objective();
   const CostModel cost;
-  const auto result = exhaustive_search(space, cost, objective);
-  const auto reference =
-      pareto_frontier(evaluate_designs(space.enumerate(), cost, objective));
-  ASSERT_EQ(result.frontier.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    EXPECT_EQ(result.frontier[i].point.key(), reference[i].point.key());
+  for (const auto& [space, objective] :
+       {std::pair{test_space(), test_objective()},
+        std::pair{paper_space(), AttackerObjective{}}}) {
+    const auto result = exhaustive_search(space, cost, objective);
+    const auto reference =
+        pareto_frontier(evaluate_designs(space.enumerate(), cost, objective));
+    ASSERT_EQ(result.frontier.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_EQ(result.frontier[i].point.key(), reference[i].point.key());
+  }
+
+  // On the paper's grid the most robust design (the minimax champion, the
+  // frontier's top P_S) beats the original SOS shape by a wide margin and is
+  // never an extreme: pure one-to-all collapses to break-ins, L=1 to
+  // congestion. max_element keeps the first of equal maxima, and the
+  // enumeration is layers-major, so ties go to fewer layers.
+  const auto paper =
+      evaluate_designs(paper_space().enumerate(), cost, AttackerObjective{});
+  const auto by_p = [](const EvaluatedDesign& a, const EvaluatedDesign& b) {
+    return a.p_success() < b.p_success();
+  };
+  const auto& champion = *std::max_element(paper.begin(), paper.end(), by_p);
+  EXPECT_EQ(champion.p_success(),
+            exhaustive_search(paper_space(), cost, AttackerObjective{}).frontier.back()
+                .p_success());
+  const auto original =
+      std::find_if(paper.begin(), paper.end(), [](const EvaluatedDesign& d) {
+        return d.point.key() == "L=3 n=100 map=one-to-all dist=even";
+      });
+  ASSERT_NE(original, paper.end());
+  EXPECT_GT(champion.p_success(), original->p_success() + 0.1);
+  EXPECT_NE(champion.point.mapping, "one-to-all");
+  EXPECT_GT(champion.point.layers, 1);
 }
 
 TEST(Search, AnnealRecoversExactFrontierOnEnumerableSpace) {
@@ -183,6 +221,17 @@ TEST(Search, SweepIntoMatchesPooledSweepBitForBit) {
     EXPECT_EQ(pooled[i].break_in_budget, serial[i].break_in_budget);
     EXPECT_EQ(pooled[i].congestion_budget, serial[i].congestion_budget);
     EXPECT_EQ(pooled[i].p_success, serial[i].p_success);
+  }
+
+  // Batched scoring records, per design, the pooled sweep's worst split.
+  AttackerObjective coarse;
+  coarse.split_steps = 9;
+  for (const auto& scored :
+       evaluate_designs(paper_space().enumerate(), CostModel{}, coarse)) {
+    const auto worst =
+        core::BudgetFrontier::worst_case(scored.point.design, coarse.budget, 9);
+    EXPECT_EQ(scored.worst.p_success, worst.p_success) << scored.point.key();
+    EXPECT_EQ(scored.worst.break_in_budget, worst.break_in_budget);
   }
 }
 
