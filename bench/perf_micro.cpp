@@ -1040,27 +1040,6 @@ BENCHMARK(BM_SamplingStratifiedRare)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Importance sampling on the same point, budget-capped: the defensive
-/// mixture earns little here (the delivering K=0 bin keeps ~6% prior mass),
-/// so this entry records the honest negative result with its ESS.
-void BM_SamplingImportanceRare(benchmark::State& state) {
-  const auto design = sampling_design();
-  const auto attack = sampling_rare_attack();
-  const auto config = sampling_config();
-  const auto rule = sampling_rule(1 << 13);
-  sim::MonteCarloResult result;
-  for (auto _ : state) {
-    result = sim::sampling::run_importance(design, attack, config, rule);
-    benchmark::DoNotOptimize(std::as_const(result).p_success);
-  }
-  report_sampling_counters(state, result);
-  state.counters["ess"] = result.ess;
-}
-BENCHMARK(BM_SamplingImportanceRare)
-    ->Iterations(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 /// The conditioning law itself (hypergeometric-binomial mixture + stratum
 /// boundaries): microseconds, so conditioning is free at campaign scale.
 void BM_SamplingCompromiseLaw(benchmark::State& state) {

@@ -38,8 +38,8 @@
 # Pass --sampling to run the rare-event estimator pass: the sampling-smoke
 # acceptance tests (`ctest -L sampling-smoke`: trials=auto campaigns through
 # every estimator, checkpoint/crash/resume byte identity, supervised parity)
-# followed by the bench/perf_micro BM_Sampling* microbenches (sequential /
-# stratified / importance at a matched CI target, the BENCH_sampling.json
+# followed by the bench/perf_micro BM_Sampling* microbenches (naive /
+# sequential / stratified at a matched CI target, the BENCH_sampling.json
 # workload).
 #
 # Pass --distributed to run the distributed-execution pass: the

@@ -32,9 +32,8 @@ class OneBurstAttacker {
   /// factor). The remaining N_T - servlet_victims attempts fall uniformly on
   /// non-servlet nodes and draw their Bernoulli outcomes (and per-layer
   /// hardening) exactly as execute() does, and the congestion phase runs
-  /// unchanged. Used by the sim::sampling stratified and importance-sampling
-  /// estimators, which supply the two counts from the analytic
-  /// hypergeometric-binomial law.
+  /// unchanged. Used by the sim::sampling stratified estimator, which
+  /// supplies the two counts from the analytic hypergeometric-binomial law.
   AttackOutcome execute_conditioned(sosnet::SosOverlay& overlay,
                                     common::Rng& rng, int servlet_victims,
                                     int servlet_successes) const;

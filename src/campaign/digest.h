@@ -21,7 +21,9 @@ namespace sos::campaign {
 /// matched again; `sos_campaign clean` reclaims the space.
 /// v2: objects gained the validated length+sentinel container.
 /// v3: the container carries an fnv1a64 payload checksum (store integrity).
-inline constexpr std::string_view kCodeVersionSalt = "sos-campaign-v3";
+/// v4: auto-trial sweep rows dropped the mc_ess column (importance sampling
+///     was deleted).
+inline constexpr std::string_view kCodeVersionSalt = "sos-campaign-v4";
 
 /// FNV-1a 64-bit over the bytes of `data`.
 std::uint64_t fnv1a64(std::string_view data) noexcept;

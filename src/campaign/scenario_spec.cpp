@@ -106,7 +106,7 @@ std::string join_ints(const std::vector<int>& values) {
 constexpr const char* kAutoTrialsAccepted =
     "'default', a non-negative trial count, or "
     "auto:ci=<half-width>[:rel][:max=<trials>]"
-    "[:estimator=<sequential|stratified|importance>]";
+    "[:estimator=<sequential|stratified>]";
 
 /// `auto[:ci=<w>][:rel][:max=<n>][:estimator=<e>]`, each option at most
 /// once. Any malformed token rejects with the full accepted grammar.
@@ -323,15 +323,14 @@ void ScenarioSpec::validate() const {
       reject("mc_trials", auto_trials.render(),
              "auto trials with max >= 2");
     const bool known_estimator = auto_trials.estimator == "sequential" ||
-                                 auto_trials.estimator == "stratified" ||
-                                 auto_trials.estimator == "importance";
+                                 auto_trials.estimator == "stratified";
     if (!known_estimator)
       reject("mc_trials", auto_trials.render(),
-             "estimator sequential, stratified, importance");
+             "estimator sequential, stratified");
     if (auto_trials.estimator != "sequential" && attacker != "one-burst")
       reject("mc_trials", auto_trials.render(),
-             "stratified/importance estimators with attacker = one-burst "
-             "(they condition on the one-burst compromised-servlet count)");
+             "stratified estimator with attacker = one-burst (it conditions "
+             "on the one-burst compromised-servlet count)");
   }
   if (attacker != "one-burst" && attacker != "successive")
     reject("attacker", attacker, "one-burst, successive");

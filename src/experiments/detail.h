@@ -1,6 +1,7 @@
 // Internal helpers shared by the figure generators. Not installed API.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 
 #include "attack/one_burst_attacker.h"
@@ -167,6 +168,20 @@ inline void emit_rows(common::Table& table, McBatch& batch,
     table.add_row(std::move(row.cells));
   }
   rows.clear();
+}
+
+/// How far `value` lies outside the Monte Carlo interval of `mc` (0 when
+/// inside). The interval is the union of the trial-mean CI and the Wilson
+/// interval on deliveries/walks: at small trial counts the trial-mean CI
+/// collapses to a point whenever every trial measured the same rate, while
+/// the Wilson interval keeps the width that the walk count warrants.
+/// Model-vs-simulation checks compare this distance with the documented
+/// model gap, so their verdicts do not hinge on trial-count noise.
+inline double distance_outside_mc_interval(double value,
+                                           const sim::MonteCarloResult& mc) {
+  const double lo = std::min(mc.ci.lo, mc.wilson.lo);
+  const double hi = std::max(mc.ci.hi, mc.wilson.hi);
+  return std::max({0.0, lo - value, value - hi});
 }
 
 /// Default successive attack of Section 3.2.3.

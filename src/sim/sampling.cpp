@@ -7,7 +7,6 @@
 
 #include "attack/one_burst_attacker.h"
 #include "common/mathx.h"
-#include "common/thread_pool.h"
 #include "sim/trial_engine.h"
 
 namespace sos::sim::sampling {
@@ -16,44 +15,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("sampling: " + what);
-}
-
-/// Shards body(index, context) over [begin, end) with the same pool / thread
-/// resolution and chunked scheduling as run_monte_carlo. Contexts are grown
-/// to the participant count and persist across calls, so consecutive rounds
-/// reuse warm overlays. Bodies write only to index-owned slots, keeping the
-/// result independent of scheduling.
-void parallel_indices(
-    const MonteCarloConfig& config, int begin, int end,
-    std::vector<internal::TrialContext>& contexts,
-    const std::function<void(int index, internal::TrialContext& context)>&
-        body) {
-  const int count = end - begin;
-  if (count <= 0) return;
-
-  int threads = config.threads;
-  if (threads != 1) {
-    ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
-    if (threads <= 0) threads = pool.size();
-    threads = std::min({threads, pool.size(), count});
-    if (threads > 1) {
-      if (static_cast<int>(contexts.size()) < threads)
-        contexts.resize(static_cast<std::size_t>(threads));
-      const int chunk = std::clamp(count / (threads * 4), 1, 64);
-      const int blocks = (count + chunk - 1) / chunk;
-      pool.parallel_for(blocks, threads, [&](int block, int worker) {
-        const int block_begin = begin + block * chunk;
-        const int block_end = std::min(block_begin + chunk, end);
-        auto& context = contexts[static_cast<std::size_t>(worker)];
-        for (int index = block_begin; index < block_end; ++index)
-          body(index, context);
-      });
-      return;
-    }
-  }
-
-  if (contexts.empty()) contexts.resize(1);
-  for (int index = begin; index < end; ++index) body(index, contexts[0]);
 }
 
 double half_width(const common::Interval& interval) {
@@ -88,8 +49,7 @@ int next_chunk_total(const StoppingRule& rule, int resolved) {
 /// number h of servlets that received break-in attempts, which a conditioned
 /// trial needs to reconstruct the full break-in phase.
 struct ConditionedLaw {
-  int h_lo = 0;         // fewest servlets the N_T victims can include
-  int feasible_hi = 0;  // min(m, N_T): largest k (and h) with any mass
+  int h_lo = 0;  // fewest servlets the N_T victims can include
   std::vector<double> pmf;        // P(K = k), size m + 1
   std::vector<int> posterior_lo;  // per k: first h of the posterior support
   std::vector<std::vector<double>> posterior_cdf;  // per k: over h - lo
@@ -106,7 +66,7 @@ ConditionedLaw build_conditioned_law(const core::SosDesign& design,
 
   ConditionedLaw law;
   law.h_lo = std::max(0, budget - (big_n - m));
-  law.feasible_hi = std::min(m, budget);
+  const int h_hi = std::min(m, budget);  // largest k (and h) with any mass
   law.pmf = servlet_compromise_pmf(big_n, m, budget, p_eff);
   law.posterior_lo.assign(static_cast<std::size_t>(m) + 1, 0);
   law.posterior_cdf.resize(static_cast<std::size_t>(m) + 1);
@@ -114,21 +74,21 @@ ConditionedLaw build_conditioned_law(const core::SosDesign& design,
   // Hyper(h) and Binom(·; h, p_eff) rows, shared by every posterior.
   std::vector<double> hyper;
   std::vector<std::vector<double>> binom_rows;
-  for (int h = law.h_lo; h <= law.feasible_hi; ++h) {
+  for (int h = law.h_lo; h <= h_hi; ++h) {
     hyper.push_back(common::hypergeometric_pmf(big_n, m, budget, h));
     binom_rows.push_back(binomial_pmf(h, p_eff));
   }
 
   // P(h | K = k) ∝ Hyper(h) · Binom(k; h, p_eff) over h in [max(k, h_lo),
-  // feasible_hi]. A k whose mass underflows entirely keeps an empty cdf (it
-  // is never proposed with positive weight; trials fall back to h = k).
+  // h_hi]. A k whose mass underflows entirely keeps an empty cdf (it is
+  // never drawn with positive weight; trials fall back to h = k).
   for (int k = 0; k <= m; ++k) {
     const int lo = std::max(k, law.h_lo);
     law.posterior_lo[static_cast<std::size_t>(k)] = lo;
-    if (lo > law.feasible_hi) continue;
+    if (lo > h_hi) continue;
     std::vector<double> mass;
     double total = 0.0;
-    for (int h = lo; h <= law.feasible_hi; ++h) {
+    for (int h = lo; h <= h_hi; ++h) {
       const std::size_t row = static_cast<std::size_t>(h - law.h_lo);
       const double joint = hyper[row] * binom_rows[row][static_cast<std::size_t>(k)];
       mass.push_back(joint);
@@ -148,93 +108,41 @@ ConditionedLaw build_conditioned_law(const core::SosDesign& design,
   return law;
 }
 
-/// One conditioned one-burst trial: rebuild, draw the compromised-servlet
-/// count k from the supplied cdf slice, draw the attempted-servlet count h
-/// from its exact posterior, execute the conditioned attack, apply the
-/// post-attack hook, run the walks. Mirrors internal::run_trial's seeding
-/// discipline (overlay from trial_seed, rng from mix64(trial_seed)).
-void run_conditioned_trial(const core::SosDesign& design,
-                           const attack::OneBurstAttacker& attacker,
-                           const PostAttackFn& post_attack,
-                           const MonteCarloConfig& config,
-                           std::uint64_t trial_seed, int lo,
-                           const std::vector<double>& count_cdf,
-                           const ConditionedLaw& law,
-                           internal::TrialContext& context,
-                           internal::TrialRecord& record, double& hops_sum) {
-  if (!context.overlay || context.built_from != &design) {
-    context.overlay.emplace(design, trial_seed);
-    context.built_from = &design;
-  } else {
-    context.overlay->rebuild(trial_seed, context.workspace,
-                             /*reseed_ids=*/config.route_via_chord);
-  }
-  sosnet::SosOverlay& overlay = *context.overlay;
-  common::Rng rng{common::mix64(trial_seed)};
-
-  // Compromised-servlet count via inverse CDF on the (renormalized) pmf
-  // slice, then the attempted-servlet count from its posterior. A k with an
-  // underflowed posterior carries zero weight anyway; h = k keeps the trial
-  // well-formed.
-  const double u = rng.next_double();
-  const auto it = std::upper_bound(count_cdf.begin(), count_cdf.end(), u);
-  const int k =
-      lo + static_cast<int>(std::min(
-               static_cast<std::size_t>(it - count_cdf.begin()),
-               count_cdf.size() - 1));
-  const std::vector<double>& posterior =
-      law.posterior_cdf[static_cast<std::size_t>(k)];
-  int h = std::max(k, law.h_lo);
-  if (!posterior.empty()) {
-    const double v = rng.next_double();
-    const auto hit =
-        std::upper_bound(posterior.begin(), posterior.end(), v);
-    h = law.posterior_lo[static_cast<std::size_t>(k)] +
-        static_cast<int>(std::min(
-            static_cast<std::size_t>(hit - posterior.begin()),
-            posterior.size() - 1));
-  }
-
-  const auto outcome = attacker.execute_conditioned(overlay, rng, h, k);
-  if (post_attack) post_attack(overlay, rng);
-
-  int broken_sos = 0, congested_sos = 0;
-  for (const int count : outcome.broken_per_layer) broken_sos += count;
-  for (const int count : outcome.congested_per_layer) congested_sos += count;
-  record.broken = outcome.broken_in;
-  record.broken_sos = broken_sos;
-  record.congested = outcome.congested_nodes;
-  record.congested_sos = congested_sos;
-  record.congested_filters = outcome.congested_filters;
-  record.disclosed = outcome.disclosed_at_congestion;
-
-  int delivered = 0;
-  hops_sum = 0.0;
-  for (int walk = 0; walk < config.walks_per_trial; ++walk) {
-    if (config.route_via_chord) {
-      context.walk = overlay.route_message_via_chord(rng);
-    } else {
-      overlay.route_message(rng, context.walk);
+/// The conditioned one-burst attack of one stratum, as an AttackFn for
+/// internal::run_trial: draw the compromised-servlet count k from the
+/// stratum's conditional cdf over [lo, lo + cdf size), draw the
+/// attempted-servlet count h from its exact posterior, execute the
+/// conditioned attack, then apply the post-attack hook. A k with an
+/// underflowed posterior carries zero weight anyway; h = k keeps the trial
+/// well-formed. The law, cdf and hook must outlive the returned function.
+AttackFn conditioned_attack(const attack::OneBurstAttacker& attacker,
+                            const ConditionedLaw& law, int lo,
+                            const std::vector<double>& count_cdf,
+                            const PostAttackFn& post_attack) {
+  return [&attacker, &law, lo, &count_cdf, &post_attack](
+             sosnet::SosOverlay& overlay, common::Rng& rng) {
+    const double u = rng.next_double();
+    const auto it = std::upper_bound(count_cdf.begin(), count_cdf.end(), u);
+    const int k =
+        lo + static_cast<int>(std::min(
+                 static_cast<std::size_t>(it - count_cdf.begin()),
+                 count_cdf.size() - 1));
+    const std::vector<double>& posterior =
+        law.posterior_cdf[static_cast<std::size_t>(k)];
+    int h = std::max(k, law.h_lo);
+    if (!posterior.empty()) {
+      const double v = rng.next_double();
+      const auto hit =
+          std::upper_bound(posterior.begin(), posterior.end(), v);
+      h = law.posterior_lo[static_cast<std::size_t>(k)] +
+          static_cast<int>(std::min(
+              static_cast<std::size_t>(hit - posterior.begin()),
+              posterior.size() - 1));
     }
-    if (context.walk.delivered) {
-      ++delivered;
-      hops_sum += static_cast<double>(context.walk.layer_hops);
-    }
-  }
-  record.delivered = delivered;
-  record.success_rate = static_cast<double>(delivered) /
-                        static_cast<double>(config.walks_per_trial);
-}
-
-void validate_conditioned_inputs(const core::SosDesign& design,
-                                 const core::OneBurstAttack& attack,
-                                 const MonteCarloConfig& config,
-                                 const StoppingRule& rule) {
-  design.validate();
-  rule.validate();
-  attack.validate(design.total_overlay_nodes);
-  if (config.walks_per_trial < 1)
-    throw std::invalid_argument("MonteCarlo: walks_per_trial must be >= 1");
+    auto outcome = attacker.execute_conditioned(overlay, rng, h, k);
+    if (post_attack) post_attack(overlay, rng);
+    return outcome;
+  };
 }
 
 /// Per-stratum accumulation, rebuilt in fixed (stratum, trial) order every
@@ -310,15 +218,15 @@ MonteCarloResult run_sequential(const core::SosDesign& design,
   for (;;) {
     records.resize(static_cast<std::size_t>(next));
     hops.resize(static_cast<std::size_t>(next) * walks_per_trial);
-    parallel_indices(config, resolved, next, contexts,
-                     [&](int trial, internal::TrialContext& context) {
-                       internal::run_trial(
-                           design, attack, config, trial, context,
-                           records[static_cast<std::size_t>(trial)],
-                           hops.data() +
-                               static_cast<std::size_t>(trial) *
-                                   walks_per_trial);
-                     });
+    internal::parallel_indices(
+        config, resolved, next, contexts,
+        [&](int trial, internal::TrialContext& context) {
+          const auto slot = static_cast<std::size_t>(trial);
+          internal::run_trial(design, attack, config,
+                              internal::trial_seed(config.seed, trial),
+                              context, records[slot],
+                              hops.data() + slot * walks_per_trial);
+        });
     for (int trial = resolved; trial < next; ++trial)
       deliveries += static_cast<std::uint64_t>(
           records[static_cast<std::size_t>(trial)].delivered);
@@ -362,7 +270,11 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
                                 const StoppingRule& rule,
                                 const StratifiedOptions& options,
                                 const PostAttackFn& post_attack) {
-  validate_conditioned_inputs(design, attack, config, rule);
+  design.validate();
+  rule.validate();
+  attack.validate(design.total_overlay_nodes);
+  if (config.walks_per_trial < 1)
+    throw std::invalid_argument("MonteCarlo: walks_per_trial must be >= 1");
   if (options.strata < 1) fail("StratifiedOptions strata must be >= 1");
   if (options.pilot_per_stratum < 2)
     fail("StratifiedOptions pilot_per_stratum must be >= 2");
@@ -404,6 +316,8 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
 
   const attack::OneBurstAttacker attacker{attack};
   std::vector<internal::TrialContext> contexts;
+  const std::size_t walks_per_trial =
+      static_cast<std::size_t>(config.walks_per_trial);
 
   // Runs stratum h's trials [records.size(), target).
   const auto run_stratum = [&](std::size_t h) {
@@ -412,7 +326,9 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
     if (stratum.target <= done) return;
     stratum.records.resize(static_cast<std::size_t>(stratum.target));
     stratum.hops_sums.resize(static_cast<std::size_t>(stratum.target));
-    parallel_indices(
+    const AttackFn conditioned = conditioned_attack(
+        attacker, law, stratum.lo, stratum.conditional_cdf, post_attack);
+    internal::parallel_indices(
         config, done, stratum.target, contexts,
         [&](int k, internal::TrialContext& context) {
           // Streams derive from (seed, stratum, trial index) alone, so the
@@ -423,11 +339,16 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
               common::mix64(0x5354524154ull +
                             (static_cast<std::uint64_t>(h) << 32) +
                             static_cast<std::uint64_t>(k));
-          run_conditioned_trial(design, attacker, post_attack, config,
-                                trial_seed, stratum.lo,
-                                stratum.conditional_cdf, law, context,
-                                stratum.records[static_cast<std::size_t>(k)],
-                                stratum.hops_sums[static_cast<std::size_t>(k)]);
+          const auto slot = static_cast<std::size_t>(k);
+          context.hops.resize(walks_per_trial);
+          internal::run_trial(design, conditioned, config, trial_seed,
+                              context, stratum.records[slot],
+                              context.hops.data());
+          // Hop counts are small integers, so this sum is exact.
+          double hops_sum = 0.0;
+          for (const std::int16_t hop : context.hops)
+            if (hop >= 0) hops_sum += hop;
+          stratum.hops_sums[slot] = hops_sum;
         });
   };
 
@@ -442,12 +363,17 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
   for (std::size_t h = 0; h < strata.size(); ++h) run_stratum(h);
 
   std::string note;
+  const auto add_note = [&note](const std::string& text) {
+    note += (note.empty() ? "stratified: " : "; stratified: ") + text;
+  };
   bool stopped = false;
   bool capped = false;
   std::vector<StratumStats> stats(strata.size());
+  double p_hat = 0.0;
+  double half = 0.0;
   for (;;) {
     // Fixed-order recombination: estimate, variance, stopping check.
-    double p_hat = 0.0;
+    p_hat = 0.0;
     double variance = 0.0;
     std::uint64_t events = 0;
     for (std::size_t h = 0; h < strata.size(); ++h) {
@@ -458,7 +384,7 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
                   static_cast<double>(stats[h].rate.count());
       events += stats[h].delivered;
     }
-    const double half = rule.z * std::sqrt(variance);
+    half = rule.z * std::sqrt(variance);
     if (rule_met(rule, half, p_hat, events) ||
         (variance == 0.0 && !rule.relative)) {
       stopped = true;
@@ -481,9 +407,7 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
     }
     if (neyman_sum <= 0.0) {
       if (note.empty())
-        note =
-            "stratified: zero-variance pilot in every stratum; allocating "
-            "equally";
+        add_note("zero-variance pilot in every stratum; allocating equally");
       std::fill(neyman.begin(), neyman.end(), 1.0);
     }
     const std::vector<int> extra =
@@ -494,19 +418,15 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
     total = next_total;
   }
 
-  // Final fixed-order recombination into the result.
+  // Final fixed-order recombination of the footprint; `stats`, `p_hat` and
+  // `half` are those of the last stopping check.
   MonteCarloResult result;
-  double p_hat = 0.0;
-  double variance = 0.0;
   double hops_num = 0.0;
   double delivered_rate = 0.0;
   int zero_variance = 0;
   for (std::size_t h = 0; h < strata.size(); ++h) {
-    stats[h] = accumulate(strata[h]);
     const double weight = strata[h].weight;
     const double n = static_cast<double>(stats[h].rate.count());
-    p_hat += weight * stats[h].rate.mean();
-    variance += weight * weight * stats[h].rate.variance() / n;
     result.mean_broken += weight * stats[h].broken.mean();
     result.mean_broken_sos += weight * stats[h].broken_sos.mean();
     result.mean_congested += weight * stats[h].congested.mean();
@@ -525,7 +445,6 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
         strata[h].lo, strata[h].hi, weight, stats[h].rate.count(),
         stats[h].rate.mean(), stats[h].rate.stddev()});
   }
-  const double half = rule.z * std::sqrt(variance);
   result.p_success = p_hat;
   result.ci = common::Interval{std::max(0.0, p_hat - half),
                                std::min(1.0, p_hat + half)};
@@ -535,194 +454,16 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
   result.resolved_trials = static_cast<std::uint64_t>(total);
   result.stopped_by_rule = stopped;
   result.capped = capped;
-  if (zero_variance > 0) {
-    if (!note.empty()) note += "; ";
-    note += "stratified: " + std::to_string(zero_variance) + " of " +
-            std::to_string(strata.size()) +
-            " strata have zero conditional variance";
-  }
-  if (dropped > 0) {
-    if (!note.empty()) note += "; ";
-    note += "stratified: dropped " + std::to_string(dropped) +
-            " zero-mass strata (pmf underflow)";
-  }
-  if (capped) {
-    if (!note.empty()) note += "; ";
-    note += "stratified: stopping rule unmet at max_trials=" +
-            std::to_string(rule.max_trials);
-  }
-  result.estimator_note = note;
-  return result;
-}
-
-MonteCarloResult run_importance(const core::SosDesign& design,
-                                const core::OneBurstAttack& attack,
-                                const MonteCarloConfig& config,
-                                const StoppingRule& rule,
-                                const ImportanceOptions& options,
-                                const PostAttackFn& post_attack) {
-  validate_conditioned_inputs(design, attack, config, rule);
-  if (!(options.mixture_uniform_mass > 0.0) ||
-      !(options.mixture_uniform_mass <= 1.0))
-    fail("ImportanceOptions mixture_uniform_mass must be in (0, 1]");
-  if (options.degenerate_ess_fraction < 0.0 ||
-      options.degenerate_ess_fraction > 1.0)
-    fail("ImportanceOptions degenerate_ess_fraction must be in [0, 1]");
-
-  // Defensive mixture over the feasible compromised-servlet counts
-  // 0..min(m, N_T); the uniform leg floods the delivery-friendly left tail
-  // the target pmf starves.
-  const ConditionedLaw law = build_conditioned_law(design, attack);
-  const std::size_t support =
-      static_cast<std::size_t>(law.feasible_hi) + 1;
-  const double epsilon = options.mixture_uniform_mass;
-  const double uniform = 1.0 / static_cast<double>(support);
-  std::vector<double> proposal(support);
-  std::vector<double> proposal_cdf(support);
-  std::vector<double> weight_of(support);
-  double cumulative = 0.0;
-  for (std::size_t k = 0; k < support; ++k) {
-    proposal[k] = (1.0 - epsilon) * law.pmf[k] + epsilon * uniform;
-    cumulative += proposal[k];
-    proposal_cdf[k] = cumulative;
-    weight_of[k] = law.pmf[k] / proposal[k];  // proposal > 0 for every k
-  }
-  proposal_cdf.back() = 1.0;
-
-  const attack::OneBurstAttacker attacker{attack};
-  std::vector<internal::TrialContext> contexts;
-  std::vector<internal::TrialRecord> records;
-  std::vector<double> hops_sums;
-  std::vector<double> weights;
-
-  // Weighted-mean stopping statistic x_i = w_i * rate_i, recomputed in
-  // trial order at every chunk boundary, plus the raw delivery-event count
-  // the relative rule's min_events guard needs.
-  const auto weighted_stats = [&](int count, std::uint64_t& events) {
-    common::RunningStats stats;
-    events = 0;
-    for (int i = 0; i < count; ++i) {
-      const internal::TrialRecord& record =
-          records[static_cast<std::size_t>(i)];
-      stats.add(weights[static_cast<std::size_t>(i)] * record.success_rate);
-      events += static_cast<std::uint64_t>(record.delivered);
-    }
-    return stats;
-  };
-
-  int resolved = 0;
-  bool stopped = false;
-  bool capped = false;
-  int next = std::min(rule.initial_trials, rule.max_trials);
-  for (;;) {
-    records.resize(static_cast<std::size_t>(next));
-    hops_sums.resize(static_cast<std::size_t>(next));
-    weights.resize(static_cast<std::size_t>(next));
-    parallel_indices(
-        config, resolved, next, contexts,
-        [&](int i, internal::TrialContext& context) {
-          const std::uint64_t trial_seed =
-              config.seed ^ common::mix64(0x49533aull +
-                                          static_cast<std::uint64_t>(i));
-          // The servlet-count draw reuses run_conditioned_trial's inverse
-          // CDF (lo = 0, cdf over the feasible support = the proposal).
-          run_conditioned_trial(design, attacker, post_attack, config,
-                                trial_seed, 0, proposal_cdf, law, context,
-                                records[static_cast<std::size_t>(i)],
-                                hops_sums[static_cast<std::size_t>(i)]);
-          // Recover the drawn count from the trial's deterministic stream to
-          // attach its likelihood ratio (the count is always the stream's
-          // first draw).
-          common::Rng probe{common::mix64(trial_seed)};
-          const double u = probe.next_double();
-          const auto it = std::upper_bound(proposal_cdf.begin(),
-                                           proposal_cdf.end(), u);
-          const std::size_t k = std::min(
-              static_cast<std::size_t>(it - proposal_cdf.begin()),
-              proposal_cdf.size() - 1);
-          weights[static_cast<std::size_t>(i)] = weight_of[k];
-        });
-    resolved = next;
-
-    std::uint64_t events = 0;
-    const common::RunningStats stats = weighted_stats(resolved, events);
-    const double half = rule.z * stats.std_error();
-    if (stats.count() >= 2 && rule_met(rule, half, stats.mean(), events)) {
-      stopped = true;
-      break;
-    }
-    if (resolved >= rule.max_trials) {
-      capped = true;
-      break;
-    }
-    next = next_chunk_total(rule, resolved);
-  }
-
-  // Final fixed-order reduction: weighted estimate + weight diagnostics +
-  // reweighted footprint means (E_q[w X] = E_p[X]).
-  MonteCarloResult result;
-  common::RunningStats xs;
-  common::RunningStats weight_stats;
-  common::RunningStats broken, broken_sos, congested, congested_sos,
-      congested_filters, disclosed;
-  double sum_w = 0.0, sum_w2 = 0.0;
-  double hops_num = 0.0, delivered_num = 0.0;
-  for (int i = 0; i < resolved; ++i) {
-    const internal::TrialRecord& record =
-        records[static_cast<std::size_t>(i)];
-    const double w = weights[static_cast<std::size_t>(i)];
-    xs.add(w * record.success_rate);
-    weight_stats.add(w);
-    sum_w += w;
-    sum_w2 += w * w;
-    broken.add(w * record.broken);
-    broken_sos.add(w * record.broken_sos);
-    congested.add(w * record.congested);
-    congested_sos.add(w * record.congested_sos);
-    congested_filters.add(w * record.congested_filters);
-    disclosed.add(w * record.disclosed);
-    hops_num += w * hops_sums[static_cast<std::size_t>(i)];
-    delivered_num += w * static_cast<double>(record.delivered);
-    result.deliveries += static_cast<std::uint64_t>(record.delivered);
-  }
-  const double half = rule.z * xs.std_error();
-  result.p_success = xs.mean();
-  result.ci = common::Interval{std::max(0.0, xs.mean() - half),
-                               std::min(1.0, xs.mean() + half)};
-  result.wilson = result.ci;
-  result.walks = static_cast<std::uint64_t>(resolved) *
-                 static_cast<std::uint64_t>(config.walks_per_trial);
-  result.mean_broken = broken.mean();
-  result.mean_broken_sos = broken_sos.mean();
-  result.mean_congested = congested.mean();
-  result.mean_congested_sos = congested_sos.mean();
-  result.mean_congested_filters = congested_filters.mean();
-  result.mean_disclosed = disclosed.mean();
-  result.mean_delivery_hops =
-      delivered_num > 0.0 ? hops_num / delivered_num : 0.0;
-  result.resolved_trials = static_cast<std::uint64_t>(resolved);
-  result.stopped_by_rule = stopped;
-  result.capped = capped;
-  result.ess = sum_w2 > 0.0 ? sum_w * sum_w / sum_w2 : 0.0;
-  result.weight_cv = weight_stats.mean() > 0.0
-                         ? weight_stats.stddev() / weight_stats.mean()
-                         : 0.0;
-
-  std::string note;
-  const double ess_floor =
-      options.degenerate_ess_fraction * static_cast<double>(resolved);
-  if (result.ess < ess_floor || sum_w <= 0.0) {
-    result.degenerate_weights = true;
-    note = "importance: degenerate weights (ESS " +
-           std::to_string(result.ess) + " of " + std::to_string(resolved) +
-           " trials, weight cv " + std::to_string(result.weight_cv) +
-           ") — distrust the estimate and widen the proposal";
-  }
-  if (capped) {
-    if (!note.empty()) note += "; ";
-    note += "importance: stopping rule unmet at max_trials=" +
-            std::to_string(rule.max_trials);
-  }
+  if (zero_variance > 0)
+    add_note(std::to_string(zero_variance) + " of " +
+             std::to_string(strata.size()) +
+             " strata have zero conditional variance");
+  if (dropped > 0)
+    add_note("dropped " + std::to_string(dropped) +
+             " zero-mass strata (pmf underflow)");
+  if (capped)
+    add_note("stopping rule unmet at max_trials=" +
+             std::to_string(rule.max_trials));
   result.estimator_note = note;
   return result;
 }

@@ -20,20 +20,17 @@
 //      with exact pmf weights, trials are allocated by Neyman allocation
 //      from a pilot pass, and the estimate recombines as Σ W_h p̂_h with
 //      Var = Σ W_h² σ_h² / n_h.
-//   3. Importance sampling — bias the compromised-servlet count toward the
-//      delivery-friendly left tail with a defensive mixture proposal
-//      q(k) = (1-ε)·P(K=k) + ε·Uniform{0..m} (weights bounded by 1/(1-ε))
-//      and reweight per trial with the likelihood ratio. Reports effective
-//      sample size and weight-degeneracy diagnostics so a bad proposal is
-//      detected, not silently trusted.
 //
-// The conditioned estimators (2, 3) are exact under per-layer hardening:
-// every servlet shares the same effective break-in probability (P_B x the
-// last layer's factor), and non-servlet attempts keep drawing their own
-// per-layer Bernoulli outcomes in-trial. All estimators fill the
-// MonteCarloResult estimator fields (resolved_trials, wilson, ess, strata,
-// estimator_note, ...); a zero-variance stratum or degenerate weight set
-// produces a diagnostic note, never a NaN.
+// Stratification is exact under per-layer hardening: every servlet shares
+// the same effective break-in probability (P_B x the last layer's factor),
+// and non-servlet attempts keep drawing their own per-layer Bernoulli
+// outcomes in-trial. Both estimators run each trial through the same trial
+// body and scheduler as run_monte_carlo (sim/trial_engine.h) — a stratum's
+// conditioned attack is just another AttackFn — and fill the
+// MonteCarloResult estimator fields (resolved_trials, wilson, strata,
+// estimator_note, ...); a zero-variance stratum produces a diagnostic note,
+// never a NaN. (Importance sampling over K saved too few trials to keep;
+// see docs/MODELING.md "Rare-event estimators".)
 #pragma once
 
 #include <functional>
@@ -47,7 +44,7 @@ namespace sos::sim::sampling {
 /// When a sequential estimator may stop. The half-width target applies to
 /// the estimator's own interval: the Wilson score interval on raw
 /// deliveries/walks for run_sequential, the recombined normal-approximation
-/// interval for run_stratified / run_importance.
+/// interval for run_stratified.
 struct StoppingRule {
   double ci_half_width = 0.05;  // target half-width
   bool relative = false;        // target is ci_half_width * p̂ instead
@@ -74,14 +71,6 @@ struct StratifiedOptions {
   int min_per_stratum = 8;     // floor kept by every allocation round
 };
 
-struct ImportanceOptions {
-  /// ε: proposal mass on Uniform{0..m}. The defensive mixture bounds every
-  /// likelihood ratio by 1/(1-ε).
-  double mixture_uniform_mass = 0.5;
-  /// Flag result.degenerate_weights when ESS < this fraction of the trials.
-  double degenerate_ess_fraction = 0.05;
-};
-
 /// Hook run after the (conditioned) attack and before the delivery walks —
 /// the slot campaign sweeps use for steady-state benign faults.
 using PostAttackFn = std::function<void(sosnet::SosOverlay&, common::Rng&)>;
@@ -102,14 +91,6 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
                                 const MonteCarloConfig& config,
                                 const StoppingRule& rule,
                                 const StratifiedOptions& options = {},
-                                const PostAttackFn& post_attack = {});
-
-/// Importance-sampling estimator biasing the compromised-servlet count.
-MonteCarloResult run_importance(const core::SosDesign& design,
-                                const core::OneBurstAttack& attack,
-                                const MonteCarloConfig& config,
-                                const StoppingRule& rule,
-                                const ImportanceOptions& options = {},
                                 const PostAttackFn& post_attack = {});
 
 /// Smallest (real-valued) trial count whose Wilson interval at proportion p

@@ -180,7 +180,7 @@ TEST(Figures, ExtSamplingChecksPass) {
   const auto figure = ext_sampling_curve(params);
   expect_well_formed(figure);
   expect_all_checks_pass(figure);
-  EXPECT_EQ(figure.series.size(), 3u);  // sequential, stratified, importance
+  EXPECT_EQ(figure.series.size(), 2u);  // sequential, stratified
   const std::string csv = figure.table.to_csv();
   EXPECT_NE(csv.find("strat_trials"), std::string::npos);
   EXPECT_NE(csv.find("naive_trials_needed"), std::string::npos);
